@@ -35,17 +35,30 @@ Design rules:
   ``get`` whose stored key differs (hash collision, foreign file) is a
   miss.
 * **Bounded size.** The store holds at most ``max_bytes`` of entries
-  (``REPRO_CACHE_MAX_BYTES``, default 1 GiB, ``0`` = unlimited);
-  every ``put`` that crosses the budget evicts least-recently-*used*
-  entries first — a ``get`` hit touches the file's mtime — so long
-  sweep campaigns cannot grow the cache without limit and the hot
-  working set survives.
+  (``REPRO_CACHE_MAX_BYTES``, default 1 GiB, ``0`` = unlimited).
+  Every instance keeps a running size estimate, shared by all
+  instances on one directory in a process: one scan seeds it, each
+  write adds its bytes, and only a write that pushes it past the
+  budget rescans the tree and evicts least-recently-*used* groups
+  first — a ``get`` hit touches the file's mtime — so long sweep
+  campaigns cannot grow the cache without limit, the hot working set
+  survives, and a put costs no tree walk.  Writes by *other
+  processes* reach the estimate only at that rescan, so a directory
+  shared across processes can overshoot by what the others wrote
+  since; the next crossing in any of them restores the budget.
 * **Sibling artifacts.** A key may carry raw byte artifacts next to
-  its pickle entry (``put_artifact`` / ``artifact_path``) — the native
-  tier stores a kernel's ``.c`` source and compiled ``.so`` this way.
-  Artifacts share the entry's digest stem, count toward the size
-  budget, are touched and evicted *as a unit* with their pickle, and
-  quarantine to ``<name>.<suffix>.corrupt`` like any other corruption.
+  its pickle entry (``put_artifact`` / ``put_artifact_file`` /
+  ``artifact_path``), or consist of artifacts alone.  Every file
+  sharing one digest stem is one *group*: it counts toward the size
+  budget, is touched and evicted as a unit, and quarantines to
+  ``<name>.<suffix>.corrupt`` like any other corruption.  The native
+  tier files compiled code this way, *content-addressed*: one
+  artifact-only group per shared object, keyed by the object's
+  sha256, holds the ``.so`` and the C source it was built from, and
+  each kernel's small pickle entry names that digest.  The groups age
+  and evict independently, so a reader must treat a missing referenced
+  group as a miss (and touch it with :meth:`touch` when it uses it,
+  so the two keep the same LRU order).
 """
 
 from __future__ import annotations
@@ -55,6 +68,7 @@ import os
 import pickle
 import shutil
 import tempfile
+import threading
 import warnings
 from pathlib import Path
 
@@ -86,6 +100,29 @@ def _env_max_bytes() -> int:
     return max(0, value)
 
 
+#: Running size estimates, one per cache directory in this process
+#: (see :meth:`DiskCache._evict_if_needed`); absent until first scanned.
+#: Server worker threads write concurrently, so updates take the lock.
+_SIZE_ESTIMATES: dict[Path, int] = {}
+_SIZE_LOCK = threading.Lock()
+
+
+def _new_size_lock() -> None:
+    # A fork taken while another thread held the lock must not leave
+    # the child's copy locked forever.
+    global _SIZE_LOCK
+    _SIZE_LOCK = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_new_size_lock)
+
+
+def _live(name: str) -> bool:
+    """Is ``name`` a live entry file (not a temp or quarantined one)?"""
+    return not name.endswith((".tmp", ".corrupt"))
+
+
 class DiskCache:
     """A content-addressed pickle store with never-fail semantics."""
 
@@ -106,16 +143,20 @@ class DiskCache:
         return self.root / digest[:2] / f"{digest}.pkl"
 
     def _siblings(self, path: Path) -> list[Path]:
-        """Every live file sharing ``path``'s digest stem (path included)."""
-        group = [path] if path.exists() else []
+        """Every live file sharing ``path``'s digest stem (path included).
+
+        One ``scandir`` of the two-hex bucket: this runs on every
+        ``get`` hit (LRU touch), so it must not compile a glob pattern
+        or stat anything.
+        """
+        prefix = path.stem + "."
         try:
-            for sibling in path.parent.glob(path.stem + ".*"):
-                if sibling == path or sibling.name.endswith((".tmp", ".corrupt")):
-                    continue
-                group.append(sibling)
+            with os.scandir(path.parent) as entries:
+                return [path.parent / entry.name for entry in entries
+                        if entry.name.startswith(prefix)
+                        and _live(entry.name)]
         except OSError:
-            pass
-        return group
+            return []
 
     def get(self, key: str):
         """The cached value for ``key``, or None (silently) on any miss."""
@@ -142,6 +183,15 @@ class DiskCache:
         self._touch(path)
         self.hits += 1
         return value
+
+    def touch(self, key: str) -> None:
+        """Mark ``key``'s whole group as just used (LRU recency).
+
+        For groups a reader uses without reading them through
+        :meth:`get` or :meth:`artifact_path` — the native tier touches
+        the shared-object group a kernel's entry names on every hit.
+        """
+        self._touch(self._path(key))
 
     def _touch(self, path: Path) -> None:
         # Touch for LRU recency: eviction takes oldest group mtime
@@ -185,24 +235,30 @@ class DiskCache:
         for member in self._siblings(self._path(key)):
             self._quarantine(member)
 
-    def put(self, key: str, value) -> None:
-        """Store ``value`` under ``key``; failures are silently dropped.
+    def _write(self, path: Path, fill) -> None:
+        """Atomically create ``path`` via ``fill(tmp_path)``; never raises.
 
-        Persistent write failure (read-only directory, full disk)
-        degrades the whole disk tier to read-only after
-        :data:`WRITE_FAILURE_LIMIT` consecutive misfires, with one
-        recorded warning — in-process memos keep the run correct.
+        Writes a temp file in the bucket and renames it into place, so
+        concurrent writers never expose a torn file.  Persistent write
+        failure (read-only directory, full disk) degrades the whole
+        disk tier to read-only after :data:`WRITE_FAILURE_LIMIT`
+        consecutive misfires, with one recorded warning — in-process
+        memos keep the run correct.  A success feeds the size estimate
+        and enforces the budget.
         """
         if self.disabled:
             return
-        path = self._path(key)
         tmp = None
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-            with os.fdopen(fd, "wb") as handle:
-                pickle.dump((key, value), handle,
-                            protocol=pickle.HIGHEST_PROTOCOL)
+            os.close(fd)
+            fill(tmp)
+            size = os.path.getsize(tmp)
+            try:
+                size -= os.path.getsize(path)   # replacing an old copy
+            except OSError:
+                pass
             os.replace(tmp, path)
             tmp = None
             self.puts += 1
@@ -222,100 +278,49 @@ class DiskCache:
                     f"{self.write_failures} attempts; continuing with "
                     f"in-process caching only",
                     RuntimeWarning,
-                    stacklevel=2,
+                    stacklevel=3,
                 )
             return
-        self._evict_if_needed()
+        self._evict_if_needed(size)
 
-    # -- raw byte artifacts (native-tier .c / .so siblings) --------------
+    def put(self, key: str, value) -> None:
+        """Store ``value`` under ``key``; failures are silently dropped."""
+
+        def fill(tmp):
+            with open(tmp, "wb") as handle:
+                pickle.dump((key, value), handle,
+                            protocol=pickle.HIGHEST_PROTOCOL)
+
+        self._write(self._path(key), fill)
+
+    # -- raw byte artifacts (native-tier .c / .so) -----------------------
 
     def put_artifact(self, key: str, suffix: str, data: bytes) -> None:
-        """Store raw bytes as ``<digest>{suffix}`` next to ``key``'s entry.
+        """Store raw bytes as ``<digest>{suffix}`` in ``key``'s group.
 
         Same never-fail discipline as :meth:`put`: atomic tmp+rename,
         silent drops, the write-failure counter shared with pickles so
         a dead disk disables the whole tier, and the size budget
         enforced over the *group* (entry plus artifacts).
         """
-        if self.disabled:
-            return
-        path = self._path(key).with_suffix(suffix)
-        tmp = None
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(data)
-            os.replace(tmp, path)
-            tmp = None
-            self.puts += 1
-            self.write_failures = 0
-        except Exception:
-            self.errors += 1
-            self.write_failures += 1
-            if tmp is not None:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-            if self.write_failures >= WRITE_FAILURE_LIMIT:
-                self.disabled = True
-                warnings.warn(
-                    f"repro disk cache at {self.root} is unwritable after "
-                    f"{self.write_failures} attempts; continuing with "
-                    f"in-process caching only",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-            return
-        self._evict_if_needed()
+        self._write(self._path(key).with_suffix(suffix),
+                    lambda tmp: Path(tmp).write_bytes(data))
 
     def put_artifact_file(self, key: str, suffix: str, src: Path) -> None:
         """Store an existing file as ``key``'s ``suffix`` artifact.
 
-        Copies ``src`` into place as a *distinct inode*.  The batched
-        native pipeline compiles many signatures into one shared object
-        and files that ``.so`` under *every* signature's entry group
-        this way, keeping each group individually evictable.  A copy —
-        never a hardlink — is deliberate: the source object is usually
+        Copies ``src`` into place as a *distinct inode*.  The native
+        pipeline files each freshly compiled shared object this way,
+        out of the process's scratch directory.  A copy — never a
+        hardlink — is deliberate: the source object is usually
         dlopen-mapped by the producing process, and a shared inode
         would let in-place corruption of a cache entry (tampering,
         partial writes) reach straight into live executable mappings.
         Same atomic tmp+rename and never-fail discipline as
         :meth:`put_artifact`.
         """
-        if self.disabled:
-            return
-        path = self._path(key).with_suffix(suffix)
-        tmp = None
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-            os.close(fd)
-            shutil.copyfile(src, tmp)
-            os.replace(tmp, path)
-            tmp = None
-            self.puts += 1
-            self.write_failures = 0
-        except Exception:
-            self.errors += 1
-            self.write_failures += 1
-            if tmp is not None:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-            if self.write_failures >= WRITE_FAILURE_LIMIT:
-                self.disabled = True
-                warnings.warn(
-                    f"repro disk cache at {self.root} is unwritable after "
-                    f"{self.write_failures} attempts; continuing with "
-                    f"in-process caching only",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-            return
-        self._evict_if_needed()
+        self._write(self._path(key).with_suffix(suffix),
+                    lambda tmp: shutil.copyfile(src, tmp))
 
     def artifact_path(self, key: str, suffix: str) -> Path | None:
         """The on-disk path of ``key``'s ``suffix`` artifact, or None.
@@ -329,61 +334,80 @@ class DiskCache:
                 return None
         except OSError:
             return None
-        self._touch(self._path(key))
+        self._touch(path)
         return path
 
-    def _evict_if_needed(self) -> None:
-        """Drop least-recently-used entry *groups* until under ``max_bytes``.
-
-        A group is every file sharing one digest stem — the pickle
-        entry plus any sibling artifacts (``.c``/``.so``) — sized as a
-        sum, aged by its most recent member, and unlinked as a unit so
-        a surviving ``.so`` can never outlive the metadata that
-        validates it.  Best-effort and never-fail like everything else
-        here: entries racing with concurrent workers may vanish
-        mid-scan (fine — the goal was deletion), and any other error
-        simply leaves the cache over budget until the next ``put``.
-        """
-        if not self.max_bytes:
-            return
-        try:
-            groups: dict[Path, list] = {}
-            total = 0
-            for path in self.root.glob("??/*"):
-                if path.name.endswith((".tmp", ".corrupt")):
-                    continue
+    def _scan(self) -> tuple[int, dict[str, list]]:
+        """(total live bytes, digest stem -> [newest mtime, size, paths])."""
+        groups: dict[str, list] = {}
+        total = 0
+        with os.scandir(self.root) as buckets:
+            bucket_paths = [entry.path for entry in buckets
+                            if len(entry.name) == 2 and entry.is_dir()]
+        for bucket in bucket_paths:
+            try:
+                with os.scandir(bucket) as entries:
+                    files = [entry for entry in entries if _live(entry.name)]
+            except OSError:
+                continue
+            for entry in files:
                 try:
-                    stat = path.stat()
+                    stat = entry.stat()
                 except OSError:
                     continue
-                stem = path.parent / path.name.split(".", 1)[0]
-                entry = groups.setdefault(stem, [0.0, 0, []])
-                entry[0] = max(entry[0], stat.st_mtime)
-                entry[1] += stat.st_size
-                entry[2].append(path)
+                group = groups.setdefault(entry.name.split(".", 1)[0],
+                                          [0.0, 0, []])
+                group[0] = max(group[0], stat.st_mtime)
+                group[1] += stat.st_size
+                group[2].append(entry.path)
                 total += stat.st_size
-            if total <= self.max_bytes:
-                return
-            ordered = sorted(
-                (mtime, size, members)
-                for mtime, size, members in groups.values()
-            )
-            for _, size, members in ordered:
-                removed = False
-                for path in members:
-                    try:
-                        path.unlink()
-                        removed = True
-                    except OSError:
+        return total, groups
+
+    def _evict_if_needed(self, written: int = 0) -> None:
+        """Drop least-recently-used entry *groups* until under ``max_bytes``.
+
+        ``written`` is the net byte growth of the write that just
+        landed.  It goes onto the directory's running size estimate;
+        only when the estimate crosses the budget is the tree scanned
+        again (which also re-seeds the estimate with the true size,
+        other processes' writes included).  A group is every file
+        sharing one digest stem — the pickle entry plus any sibling
+        artifacts (``.c``/``.so``) — sized as a sum, aged by its most
+        recent member, and unlinked as a unit, so no group is ever
+        left half-evicted.  Best-effort and never-fail like everything
+        else here: entries racing with concurrent workers may vanish
+        mid-scan (fine — the goal was deletion), and any other error
+        simply leaves the cache over budget until the next crossing.
+        """
+        with _SIZE_LOCK:
+            estimate = _SIZE_ESTIMATES.get(self.root)
+            if estimate is not None:
+                estimate += written
+                _SIZE_ESTIMATES[self.root] = estimate
+        if not self.max_bytes or (estimate is not None
+                                  and estimate <= self.max_bytes):
+            return
+        try:
+            total, groups = self._scan()
+            if total > self.max_bytes:
+                for _, size, members in sorted(groups.values()):
+                    removed = False
+                    for path in members:
+                        try:
+                            os.unlink(path)
+                            removed = True
+                        except OSError:
+                            continue
+                    if not removed:
                         continue
-                if not removed:
-                    continue
-                self.evictions += 1
-                total -= size
-                if total <= self.max_bytes:
-                    break
+                    self.evictions += 1
+                    total -= size
+                    if total <= self.max_bytes:
+                        break
+            _SIZE_ESTIMATES[self.root] = total
         except Exception:
             self.errors += 1
+            _SIZE_ESTIMATES.pop(self.root, None)
 
     def stats(self) -> dict[str, int]:
         return {"hits": self.hits, "misses": self.misses,

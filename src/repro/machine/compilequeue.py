@@ -10,11 +10,13 @@ module amortizes that wall three ways:
   fixed-name and dtype-parameterized, so kernels sharing the pair live
   behind one prelude — writes one ``.c`` per group, and feeds *all*
   groups to a **single** ``cc`` invocation producing one ``.so`` that
-  exports every ``simdal_steady_<digest>`` symbol.  Per-signature
-  artifact groups stay individually cached and evictable: the shared
-  object is copied under each signature's digest stem
-  (:meth:`repro.cache.DiskCache.put_artifact_file`), so evicting or
-  quarantining one signature never disturbs its batch-mates.
+  exports every ``simdal_steady_<digest>`` symbol.  The shared object
+  and its C source are cached *once*, content-addressed by the
+  object's sha256 (:func:`repro.machine.native.tu_key`); each
+  signature's small pickled entry names that digest, so a warm start
+  reads, verifies and ``dlopen``s one object per invocation.  Evicting
+  a signature's entry never disturbs its batch-mates; evicting the
+  object makes every entry naming it miss and recompile.
 * **Precompile-ahead.**  :func:`precompile` lets the sweep runners
   collect a campaign's signature classes up front and compile them as
   one batch *before* workers fork, so forked workers find warm disk
@@ -49,7 +51,7 @@ import subprocess
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.cache import get_cache
 from repro.errors import FaultInjected
@@ -153,9 +155,8 @@ class CompileRequest:
     lane: str           # dtype name — TU grouping axis
     kernel_src: str     # the kernel function body (C)
     prelude: str        # kernel_unit_prelude(V, dtype)
-    meta: object        # _NativeMeta (source/so_sha256 filled on success)
+    meta: object        # _NativeMeta (so_sha256 filled on success)
     jk: object          # jit._Kernel (fallback + spec)
-    unit_source: str = field(default="", compare=False)
 
 
 def compile_requests(requests, disk):
@@ -165,9 +166,11 @@ def compile_requests(requests, disk):
     signature → ``(ctypes function, meta)`` and ``failures`` maps
     signature → reason.  On a batched compiler failure with more than
     one request, every request is retried as a singleton so the one
-    broken unit is isolated and its batch-mates still land.  Artifacts
-    (TU ``.c`` source, a copy of the ``.so``, pickled meta) are
-    persisted per signature when ``disk`` is a cache.
+    broken unit is isolated and its batch-mates still land.  When
+    ``disk`` is a cache, the ``.so`` (a copy, never a hardlink) and the
+    C source of every unit in it are stored once under
+    :func:`~repro.machine.native.tu_key`, then one pickled meta per
+    signature naming the object's digest.
     """
     native = _nat()
     loaded: dict[str, tuple] = {}
@@ -183,13 +186,13 @@ def compile_requests(requests, disk):
         "|".join(req.key for req in requests).encode()
     ).hexdigest()[:16]
     c_paths = []
+    c_text = []
     for (V, lane), group in units.items():
         src = group[0].prelude + "\n".join(req.kernel_src for req in group)
         path = work / f"tu_{batch_id}_{V}_{lane}.c"
         path.write_text(src)
         c_paths.append(path)
-        for req in group:
-            req.unit_source = src
+        c_text.append(f"/* ==== {path.name} ==== */\n{src}")
     # The output name must be unique per invocation: a recompile of the
     # same batch (e.g. after quarantining a tampered cache entry) would
     # otherwise have the linker truncate an inode that is still mapped
@@ -224,20 +227,22 @@ def compile_requests(requests, disk):
         return loaded, failures, cc_s, load_s
     native.STATS["tus"] += len(units)
     native.STATS["tu_kernels"] += len(requests)
-    so_bytes = so_path.read_bytes()
-    so_digest = hashlib.sha256(so_bytes).hexdigest()
+    so_digest = hashlib.sha256(so_path.read_bytes()).hexdigest()
     start = time.perf_counter()
     lib = ctypes.CDLL(str(so_path))
+    native._SO_HANDLES[so_digest] = lib
     for req in requests:
-        req.meta.source = req.unit_source
         req.meta.so_sha256 = so_digest
         loaded[req.signature] = (native._bind_functions(lib, req.meta),
                                  req.meta)
     load_s = time.perf_counter() - start
     if disk is not None:
+        # Object first, entries last: a reader that finds an entry
+        # finds the object it names.
+        tu = native.tu_key(so_digest)
+        disk.put_artifact(tu, ".c", "\n".join(c_text).encode())
+        disk.put_artifact_file(tu, ".so", so_path)
         for req in requests:
-            disk.put_artifact(req.key, ".c", req.unit_source.encode())
-            disk.put_artifact_file(req.key, ".so", so_path)
             disk.put(req.key, req.meta)
     return loaded, failures, cc_s, load_s
 
@@ -257,7 +262,9 @@ def precompile(programs, profile=None) -> int:
     (queueing ahead of demand would just reorder the same work).
 
     Runs outside the verifier's stat windows, so it folds its own
-    STATS deltas and compiler seconds into ``profile`` directly.
+    STATS deltas and compiler seconds into ``profile`` directly; the
+    rest of its wall clock — jit spec loads, disk entry hits, ``.so``
+    verify and ``dlopen`` — is the ``kernel_load`` phase.
     """
     native = _nat()
     if not programs or async_enabled() or not precompile_enabled():
@@ -266,6 +273,7 @@ def precompile(programs, profile=None) -> int:
         return 0
     from repro.machine import jit
 
+    started = time.perf_counter()
     before = {k: v for k, v in native.STATS.items() if isinstance(v, int)}
     disk = get_cache()
     requests = []
@@ -279,7 +287,7 @@ def precompile(programs, profile=None) -> int:
                 continue
             seen.add(signature)
             jk = jit.get_kernel(program)
-            if not jk.spec.batchable or jk.fn is None:
+            if not jk.spec.batchable:
                 native._cache_put(
                     signature, native._NativeKernel(jk=jk, meta=None,
                                                     cfn=None))
@@ -331,6 +339,8 @@ def precompile(programs, profile=None) -> int:
             profile.add("cc", cc_s)
         if load_s:
             profile.add("native_load", load_s)
+        profile.add("kernel_load",
+                    time.perf_counter() - started - cc_s - load_s)
         for key, value in native.STATS.items():
             if isinstance(value, int):
                 delta = value - before.get(key, 0)

@@ -43,6 +43,8 @@ This module is only imported when NumPy is present; use
 
 from __future__ import annotations
 
+import os
+import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -91,6 +93,7 @@ STATS = {
     "memory_misses": 0,
     "disk_hits": 0,      # spec loaded from the disk cache
     "disk_misses": 0,
+    "materialized": 0,   # specs compiled into callable kernels
     "compile_s": 0.0,    # seconds spent lowering + materializing
 }
 
@@ -248,15 +251,53 @@ class _KernelSpec:
     counts: tuple = ()     # aggregated OpCounters dicts (_cnt{k})
 
 
-@dataclass
-class _Kernel:
-    """A materialized spec; any function is None when not compiled."""
+_MATERIALIZE_LOCK = threading.Lock()
 
-    spec: _KernelSpec
-    fn: object | None      # batched steady loop (one run)
-    bfn: object | None     # config-batched steady loop (many runs)
-    pre: object | None     # preheader + prologue sections
-    post: object | None    # epilogue sections
+
+def _new_materialize_lock() -> None:
+    # A fork taken mid-materialization must not leave the child's copy
+    # of the lock held forever.
+    global _MATERIALIZE_LOCK
+    _MATERIALIZE_LOCK = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_new_materialize_lock)
+
+
+class _Kernel:
+    """A spec whose functions materialize on first use.
+
+    ``fn`` (batched steady loop, one run), ``bfn`` (config-batched
+    steady loop), ``pre`` (preheader + prologue sections) and ``post``
+    (epilogue sections) are each None when not compiled.  Building them
+    (:func:`_materialize`) is most of a warm kernel's cost, and the
+    native tier runs whole accepted runs in C without touching any of
+    them, so the first attribute read pays it instead of
+    :func:`get_kernel`.
+    """
+
+    __slots__ = ("spec", "_fns")
+
+    def __init__(self, spec: _KernelSpec):
+        self.spec = spec
+        self._fns: tuple | None = None
+
+    def _functions(self) -> tuple:
+        if self._fns is None:
+            # Server worker threads share kernels: build exactly once.
+            with _MATERIALIZE_LOCK:
+                if self._fns is None:
+                    start = time.perf_counter()
+                    self._fns = _materialize(self.spec)
+                    STATS["materialized"] += 1
+                    STATS["compile_s"] += time.perf_counter() - start
+        return self._fns
+
+    fn = property(lambda self: self._functions()[0])
+    bfn = property(lambda self: self._functions()[1])
+    pre = property(lambda self: self._functions()[2])
+    post = property(lambda self: self._functions()[3])
 
 
 # ---------------------------------------------------------------------------
@@ -1447,9 +1488,8 @@ def get_kernel(program: VProgram) -> _Kernel:
         STATS["codegens"] += 1
         if disk is not None:
             disk.put(_disk_key(signature), spec)
-    fn, bfn, pre, post = _materialize(spec)
     STATS["compile_s"] += time.perf_counter() - start
-    kernel = _Kernel(spec=spec, fn=fn, bfn=bfn, pre=pre, post=post)
+    kernel = _Kernel(spec)
     if len(_KERNEL_CACHE) >= _KERNEL_CACHE_MAX:
         _KERNEL_CACHE.popitem(last=False)
     _KERNEL_CACHE[signature] = kernel

@@ -47,16 +47,20 @@ proceed on the jit tier.
 
 Kernels are cached at two tiers keyed on the structural signature:
 an in-process LRU of loaded ``ctypes`` functions, and the shared disk
-cache holding the ``.c`` source and ``.so`` object as sibling
-artifacts under a key versioned by package version,
-:data:`NATIVE_CODE_VERSION`, and the *compiler identity* (path plus
-``--version`` line), so a toolchain upgrade can never resurrect a
-stale object.  The compiler identity itself re-resolves whenever
-``REPRO_CC``/``CC`` change (and :func:`reset_compiler_cache` drops it
-plus any memoized cc failures), so a transient or fault-injected
-toolchain failure cannot poison later legitimate compiles.  A
-corrupted or truncated ``.so`` fails its content digest and the whole
-entry group is quarantined, never raised.
+cache holding each kernel's invoke tables under a key versioned by
+package version, :data:`NATIVE_CODE_VERSION`, and the *compiler
+identity* (path plus ``--version`` line), so a toolchain upgrade can
+never resurrect a stale object.  A table entry names its compiled
+``.so`` by sha256; the object and its C source live once per ``cc``
+invocation in a content-addressed artifact group (:func:`tu_key`),
+and a process digest-checks and ``dlopen``s each distinct object
+once, binding every signature's symbols from that one handle.  The
+compiler identity itself re-resolves whenever ``REPRO_CC``/``CC``
+change (and :func:`reset_compiler_cache` drops it plus any memoized
+cc failures), so a transient or fault-injected toolchain failure
+cannot poison later legitimate compiles.  A corrupted or truncated
+``.so`` fails its content digest and is quarantined together with the
+entry that named it, never raised; an evicted one is a plain miss.
 
 Hosts without a C compiler (and ``REPRO_FAULT=compile:*`` runs) raise
 :class:`NativeUnavailable` from kernel acquisition — before any memory
@@ -127,7 +131,10 @@ from repro.vir.vstmt import SetS, SetV, VStoreS
 #: v4: two emitter modes (scalar-lane / vector-extension), ``restrict``
 #: parameters, aligned ``_a`` loads/stores backed by the aligned-buffer
 #: marshalling, and batch-row segments padded to the buffer alignment.
-NATIVE_CODE_VERSION = 4
+#: v5: entries drop the translation-unit source and name a shared,
+#: content-addressed ``.so`` group (:func:`tu_key`) instead of carrying
+#: their own copy.
+NATIVE_CODE_VERSION = 5
 
 #: Compile/cache counters (process-wide; surfaced with a ``native_``
 #: prefix by :func:`repro.machine.backend.jit_compile_stats`).
@@ -135,8 +142,9 @@ STATS = {
     "codegens": 0,         # C kernels emitted from scratch
     "memory_hits": 0,      # loaded ctypes kernel reused
     "memory_misses": 0,
-    "disk_hits": 0,        # .so loaded from the disk cache
+    "disk_hits": 0,        # kernel entry + its .so found on disk
     "disk_misses": 0,
+    "so_loads": 0,         # cached .so files digest-checked and dlopened
     "cc_s": 0.0,           # foreground seconds inside the system compiler
     "load_s": 0.0,         # foreground seconds loading shared objects
     "cc_invocations": 0,   # compiler subprocesses launched
@@ -273,8 +281,7 @@ class _NativeMeta:
 
     signature: str
     symbol: str = ""         # simdal_steady_<digest> in the TU
-    source: str = ""
-    so_sha256: str = ""
+    so_sha256: str = ""      # the shared object holding it (tu_key)
     vreg_names: tuple = ()   # vregs-buffer slot order
     seed_regs: tuple = ()    # read-before-write registers Python seeds
     out_regs: tuple = ()     # SetV targets C writes back
@@ -699,8 +706,7 @@ def emit_native_source(program: VProgram,
             + backend.helpers(program.V, program.source.dtype).rstrip()
             + "\n"
         )
-    meta.source = unit + "\n" + kernel_src
-    return meta.source, meta
+    return unit + "\n" + kernel_src, meta
 
 
 def build_request(signature: str, key: str, jk: jit._Kernel,
@@ -810,9 +816,10 @@ def _compiler_identity() -> tuple[str | None, str]:
 # ---------------------------------------------------------------------------
 
 #: Memoized flag resolution: ((cc env request, REPRO_CC_FLAGS value),
-#: flags tuple).  Keyed on both envs so changing either mid-process
-#: re-probes instead of serving a stale answer (same doctrine as _CC).
-_FLAGS: tuple[tuple[str, str | None], tuple[str, ...]] | None = None
+#: flags tuple, short flags digest for disk keys).  Keyed on both envs
+#: so changing either mid-process re-probes instead of serving a stale
+#: answer (same doctrine as _CC).
+_FLAGS: tuple[tuple[str, str | None], tuple[str, ...], str] | None = None
 
 #: Memoized vector-extension capability: (same env key, supported?).
 _SIMD: tuple[tuple[str, str | None], bool] | None = None
@@ -870,8 +877,15 @@ def compiler_flags() -> tuple[str, ...]:
             if _try_compile(cc, ["-O3", "-march=native"],
                             _MARCH_PROBE_SRC, "probe_march"):
                 flags.append("-march=native")
-    _FLAGS = (key, tuple(flags))
+    digest = hashlib.sha256("\0".join(flags).encode()).hexdigest()[:8]
+    _FLAGS = (key, tuple(flags), digest)
     return _FLAGS[1]
+
+
+def _flags_digest() -> str:
+    """Short hash of :func:`compiler_flags`, memoized alongside it."""
+    compiler_flags()
+    return _FLAGS[2]
 
 
 def _simd_probe_source() -> str:
@@ -1049,10 +1063,26 @@ def _bind_functions(lib, meta: _NativeMeta):
     return cfn, rfn, bcfn
 
 
+#: Loaded shared objects by sha256: each distinct ``.so`` is verified
+#: and ``dlopen``ed once per process, then every signature it carries
+#: binds from the one handle.  Forked workers inherit the mappings.
+_SO_HANDLES: dict[str, ctypes.CDLL] = {}
+
+
 def _load_so(path: Path, meta: _NativeMeta):
-    # Each signature loads its own cached copy of the batched .so;
-    # dlopen dedupes repeat loads of the same path within a process.
-    return _bind_functions(ctypes.CDLL(str(path)), meta)
+    """Digest-check and ``dlopen`` the cached ``.so`` at ``path``, then
+    bind ``meta``'s functions from it.
+
+    Called once per distinct object per process (the handle lands in
+    :data:`_SO_HANDLES`).  The check reads the cache file itself, so a
+    tampered or truncated object raises before it is ever mapped.
+    """
+    if hashlib.sha256(path.read_bytes()).hexdigest() != meta.so_sha256:
+        raise OSError("shared object digest mismatch")
+    lib = ctypes.CDLL(str(path))
+    _SO_HANDLES[meta.so_sha256] = lib
+    STATS["so_loads"] += 1
+    return _bind_functions(lib, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -1084,11 +1114,19 @@ def _disk_key(signature: str, cc_identity: str) -> str:
     else:
         mode = "scalar"
         STATS["mode_scalar"] += 1
-    flags = hashlib.sha256(
-        "\0".join(compiler_flags()).encode()
-    ).hexdigest()[:8]
     return (f"native-kernel:{__version__}:{NATIVE_CODE_VERSION}:"
-            f"{cc_identity}:{mode}:{flags}:{signature}")
+            f"{cc_identity}:{mode}:{_flags_digest()}:{signature}")
+
+
+def tu_key(so_sha256: str) -> str:
+    """The disk-cache key of the artifact group holding one compiled
+    shared object (``.so``) and its C source (``.c``).
+
+    Content-addressed: every kernel compiled by one ``cc`` invocation
+    names the same group, and the digest is re-checked before the
+    first ``dlopen`` in each process.
+    """
+    return f"native-tu:{so_sha256}"
 
 
 def _cache_put(signature: str, kernel: _NativeKernel) -> None:
@@ -1098,38 +1136,50 @@ def _cache_put(signature: str, kernel: _NativeKernel) -> None:
 
 
 def clear_memory_cache() -> None:
-    """Drop loaded kernels and memoized cc failures (tests use this)."""
+    """Drop loaded kernels, shared-object handles and memoized cc
+    failures (tests use this to force disk loads)."""
     _NATIVE_CACHE.clear()
+    _SO_HANDLES.clear()
     _FAILED.clear()
 
 
 def _load_from_disk(disk, key: str, signature: str,
                     jk: jit._Kernel) -> _NativeKernel | None:
-    """Warm path: validated meta + digest-checked .so, or None.
+    """Warm path: validated meta + digest-checked shared .so, or None.
 
-    Any inconsistency — missing/orphaned artifact, digest mismatch,
-    dlopen failure — quarantines the whole entry group (cache
-    doctrine: corruption is a silent miss, never an exception).
+    The entry names its object by digest (:func:`tu_key`).  An object
+    this process already loaded binds straight from the handle (and
+    touches the object's group, so it ages with the entries using it);
+    otherwise :func:`_load_so` verifies and maps it first.  A missing
+    object (evicted, or quarantined by a batch-mate) is a plain miss:
+    the recompile rewrites this entry.  Any other inconsistency — digest
+    mismatch, dlopen or symbol failure — quarantines the entry, plus
+    the object's group when the object itself failed (cache doctrine:
+    corruption is a silent miss, never an exception).
     """
     entry = disk.get(key)
     if (not isinstance(entry, _NativeMeta) or entry.signature != signature
             or not entry.symbol or not entry.run_symbol
-            or not entry.batch_symbol):
+            or not entry.batch_symbol or not entry.so_sha256):
         return None
-    so_path = disk.artifact_path(key, ".so")
-    if so_path is None:
-        disk.quarantine_artifacts(key)
-        return None
+    tu = tu_key(entry.so_sha256)
+    start = time.perf_counter()
     try:
-        data = so_path.read_bytes()
-        if hashlib.sha256(data).hexdigest() != entry.so_sha256:
-            raise OSError("shared object digest mismatch")
-        start = time.perf_counter()
-        cfn, rfn, bcfn = _load_so(so_path, entry)
-        STATS["load_s"] += time.perf_counter() - start
+        lib = _SO_HANDLES.get(entry.so_sha256)
+        if lib is not None:
+            disk.touch(tu)
+            cfn, rfn, bcfn = _bind_functions(lib, entry)
+        else:
+            so_path = disk.artifact_path(tu, ".so")
+            if so_path is None:
+                return None
+            cfn, rfn, bcfn = _load_so(so_path, entry)
     except Exception:
         disk.quarantine_artifacts(key)
+        if entry.so_sha256 not in _SO_HANDLES:
+            disk.quarantine_artifacts(tu)
         return None
+    STATS["load_s"] += time.perf_counter() - start
     return _NativeKernel(jk=jk, meta=entry, cfn=cfn, rfn=rfn, bcfn=bcfn)
 
 
@@ -1194,7 +1244,7 @@ def get_native_kernel(program: VProgram) -> _NativeKernel:
         return kernel
     STATS["memory_misses"] += 1
     jk = jit.get_kernel(program)
-    if not jk.spec.batchable or jk.fn is None:
+    if not jk.spec.batchable:
         # The steady loop itself is unbatchable: there is nothing for a
         # C kernel to run that jit's per-iteration path doesn't cover.
         kernel = _NativeKernel(jk=jk, meta=None, cfn=None)

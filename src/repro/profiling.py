@@ -18,12 +18,14 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-#: Pipeline phases in reporting order.  ``cc`` and ``native_load``
-#: only appear when the native tier runs: C-compiler wall time and
-#: shared-object load/validate time, re-attributed out of ``execute``
-#: the same way lazy jit codegen is.
+#: Pipeline phases in reporting order.  ``cc``, ``native_load`` and
+#: ``kernel_load`` only appear when the native tier runs: C-compiler
+#: wall time and shared-object load/validate time, re-attributed out
+#: of ``execute`` the same way lazy jit codegen is, and the rest of the
+#: kernel acquisition done ahead of a sweep (jit spec loads, disk
+#: entry hits, ``.so`` verify + ``dlopen``).
 PHASES = ("synthesize", "simdize", "compile", "cc", "native_load",
-          "execute", "verify")
+          "kernel_load", "execute", "verify")
 
 
 @dataclass
@@ -122,6 +124,18 @@ class PhaseProfile:
             if flag_probes:
                 line += f", {flag_probes} flag probe{'s' if flag_probes != 1 else ''}"
             lines.append(line)
+        if "kernel_load" in self.seconds:
+            # Warm acquisition ahead of the sweep: entries found on
+            # disk, distinct shared objects verified and mapped, and
+            # how many jit kernels were built at all (native runs
+            # whole accepted runs in C without them).
+            hits = self.counts.get("native_disk_hits", 0)
+            loads = self.counts.get("native_so_loads", 0)
+            built = self.counts.get("kernel_materialized", 0)
+            lines.append(
+                f"native kernel load: {hits} disk hits, {loads} .so "
+                f"load{'s' if loads != 1 else ''}, {built} jit "
+                f"materialization{'s' if built != 1 else ''}")
         invocations = self.counts.get("native_cc_invocations", 0)
         if invocations:
             kernels = self.counts.get("native_tu_kernels", 0)

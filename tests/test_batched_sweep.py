@@ -480,6 +480,69 @@ class TestDiskCacheEviction:
         assert cache.get("a") is not None
         assert cache.get("b") is None
 
+    def test_puts_under_budget_do_not_rescan(self, tmp_path, monkeypatch):
+        """The running size estimate replaces the per-put tree walk:
+        one scan seeds it, and puts that stay under the budget add
+        their bytes without scanning again."""
+        cache = DiskCache(tmp_path / "cache", max_bytes=1 << 20)
+        scans = []
+        real = DiskCache._scan
+        monkeypatch.setattr(DiskCache, "_scan",
+                            lambda self: scans.append(1) or real(self))
+        for i in range(20):
+            cache.put(f"k{i}", b"x" * 2048)
+        assert len(scans) == 1
+        cache.max_bytes = 8192
+        cache.put("over", b"x" * 2048)
+        assert len(scans) == 2
+        assert self._total(tmp_path) <= 8192
+
+    def test_two_instances_on_one_directory_hold_the_budget(self, tmp_path):
+        """Instances sharing a directory share its size estimate, so
+        neither one's writes hide from the other's budget check."""
+        first = DiskCache(tmp_path / "cache", max_bytes=8192)
+        second = DiskCache(tmp_path / "cache", max_bytes=8192)
+        for i in range(12):
+            (first if i % 2 else second).put(f"k{i}", b"x" * 2048)
+            assert self._total(tmp_path) <= 8192
+        assert first.evictions + second.evictions > 0
+
+    def test_concurrent_writers_lose_no_estimate_update(self, tmp_path):
+        """Server worker threads put concurrently; the shared estimate
+        must still equal the bytes on disk afterwards."""
+        import sys
+        import threading
+
+        from repro import cache as cache_mod
+
+        cache = DiskCache(tmp_path / "cache", max_bytes=1 << 30)
+        cache.put("seed", b"x")   # the first put seeds the estimate
+        start = threading.Barrier(8)
+
+        def writer(w):
+            start.wait(timeout=60)
+            for i in range(40):
+                cache.put(f"w{w}-{i}", b"x" * (100 + w))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=writer, args=(w,))
+                       for w in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert cache_mod._SIZE_ESTIMATES[cache.root] == self._total(tmp_path)
+
+    @staticmethod
+    def _total(tmp_path) -> int:
+        return sum(p.stat().st_size
+                   for p in (tmp_path / "cache").glob("??/*.pkl"))
+
     def test_zero_budget_means_unlimited(self, tmp_path):
         cache = DiskCache(tmp_path / "cache", max_bytes=0)
         self._fill(cache, [f"k{i}" for i in range(20)])

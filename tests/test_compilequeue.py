@@ -3,8 +3,8 @@
 ``test_native.py`` pins the per-kernel acquisition machinery; this
 file pins the pipeline that amortizes it — multi-kernel translation
 units behind one ``cc`` invocation (:func:`compile_requests` /
-:func:`precompile`), per-signature artifact groups that stay
-individually evictable, the background compile queue with hot-swap and
+:func:`precompile`), per-signature entries that stay individually
+evictable next to the one shared object they name, the background compile queue with hot-swap and
 silent jit degradation, compiler re-resolution under ``REPRO_CC``, the
 concurrent-writer atomicity of artifact groups, and the worker
 right-sizing that fixed the jobs=2 sweep regression.  The differential
@@ -137,8 +137,9 @@ class TestBatchedTranslationUnits:
 
     @needs_cc
     def test_evicting_one_group_leaves_batch_mates_loadable(self):
-        """The shared object is *copied* per signature group: dropping
-        one signature's files cannot strand the others."""
+        """Batch-mates name one shared object, not each other's
+        entries: dropping one signature's entry cannot strand the
+        others, and only the dropped signature recompiles."""
         programs = sweep_programs(count=1)
         assert len(programs) >= 2
         compilequeue.precompile(programs)
@@ -320,16 +321,32 @@ class TestCompilerResolution:
 # Concurrent artifact-group writers (multi-process put_artifact race)
 # ---------------------------------------------------------------------------
 
+#: A content-addressed group every racing writer files identically
+#: (as every process compiling one batch files the same object), plus
+#: the per-worker entries naming it.
+SHARED_KEY = "native-tu:" + "ab" * 32
+SHARED_SO = b"SHARED-SO" * 300
+SHARED_C = b"/* shared unit */\n" * 64
+SHARED_REFS = 8
+
+
 def _race_writer(root: str, key: str, worker: int, rounds: int) -> None:
     cache = DiskCache(root)
     payload = (b"/* worker %d */\n" % worker) * 64
     with tempfile.NamedTemporaryFile(dir=root, delete=False) as tmp:
         tmp.write(b"SO-%d" % worker * 256)
         src = Path(tmp.name)
+    with tempfile.NamedTemporaryFile(dir=root, delete=False) as tmp:
+        tmp.write(SHARED_SO)
+        shared_src = Path(tmp.name)
     for _ in range(rounds):
         cache.put_artifact(key, ".c", payload)
         cache.put_artifact_file(key, ".so", src)
         cache.put(key, {"worker": worker})
+        cache.put_artifact(SHARED_KEY, ".c", SHARED_C)
+        cache.put_artifact_file(SHARED_KEY, ".so", shared_src)
+        for ref in range(SHARED_REFS):
+            cache.put(f"ref-{worker}-{ref}", {"so": SHARED_KEY})
 
 
 class TestArtifactRaces:
@@ -337,7 +354,9 @@ class TestArtifactRaces:
         """N processes hammering one key's artifact group leave exactly
         one intact group: every surviving file is some writer's
         complete payload (os.replace atomicity — no interleaving, no
-        torn pairs, no stray tmp files)."""
+        torn pairs, no stray tmp files).  The same holds for a
+        content-addressed group all of them rewrite while filing many
+        entries that name it."""
         root = tmp_path / "race-cache"
         root.mkdir()
         key = "deadbeef" * 8
@@ -371,6 +390,20 @@ class TestArtifactRaces:
                        if not p.name.endswith(".tmp"))
         assert group == sorted([stem.name, stem.stem + ".c",
                                 stem.stem + ".so"])
+        # The group shared by many keys is intact, artifact-only, and
+        # every key naming it resolves.
+        shared = cache._path(SHARED_KEY)
+        assert sorted(p.name for p in shared.parent.iterdir()
+                      if p.name.startswith(shared.stem)) == \
+            sorted([shared.stem + ".c", shared.stem + ".so"])
+        assert cache.artifact_path(SHARED_KEY, ".so").read_bytes() == \
+            SHARED_SO
+        assert cache.artifact_path(SHARED_KEY, ".c").read_bytes() == \
+            SHARED_C
+        for worker in range(4):
+            for ref in range(SHARED_REFS):
+                assert cache.get(f"ref-{worker}-{ref}") == \
+                    {"so": SHARED_KEY}
 
 
 # ---------------------------------------------------------------------------

@@ -148,11 +148,42 @@ class TestKernelCache:
             runs[name] = (mem.snapshot(), run.counters.as_dict())
         assert runs["bytes"] == runs["jit"]
 
+    def test_functions_materialize_on_first_use_only(self):
+        """get_kernel loads the spec; the functions are built by the
+        first attribute read, once, however many threads race to it."""
+        import sys
+        import threading
+
+        program = fig1_program()
+        before = jit.STATS["materialized"]
+        kernel = jit.get_kernel(program)
+        assert jit.STATS["materialized"] == before
+        start = threading.Barrier(8)
+
+        def build():
+            start.wait(timeout=60)
+            return kernel.fn
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=build) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert kernel.fn is not None and kernel.pre is not None
+        assert jit.STATS["materialized"] == before + 1
+
     def test_compile_stats_shape(self):
         stats = jit_compile_stats()
         assert isinstance(stats, dict)
         for key in ("codegens", "memory_hits", "memory_misses",
-                    "disk_hits", "disk_misses", "compile_s"):
+                    "disk_hits", "disk_misses", "materialized",
+                    "compile_s"):
             assert key in stats
 
 

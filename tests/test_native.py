@@ -160,15 +160,14 @@ class TestKernelCache:
     @needs_cc
     def test_tampered_so_is_quarantined_and_recompiled(self):
         """A .so whose digest no longer matches its meta entry is a
-        silent miss: the whole entry group is quarantined and the
-        kernel recompiles from scratch."""
+        silent miss: the object's group and the entry naming it are
+        quarantined and the kernel recompiles from scratch."""
         program = fig1_program()
         before = dict(native.STATS)
-        native.get_native_kernel(program)
+        kernel = native.get_native_kernel(program)
         cache = get_cache()
-        sig = jit._cached_signature(program)
-        key = native._disk_key(sig, native._compiler_identity()[1])
-        so_path = cache.artifact_path(key, ".so")
+        so_path = cache.artifact_path(native.tu_key(kernel.meta.so_sha256),
+                                      ".so")
         assert so_path is not None
         so_path.write_bytes(b"\x7fELF but not really")
         native.clear_memory_cache()
@@ -215,6 +214,83 @@ class TestKernelCache:
         runs = run_engines(program, ("bytes", "native"))
         assert runs["bytes"] == runs["native"]
         assert runs["native"][3] is False   # no per-iteration fallback
+
+
+def fig11_text(backend: str = "native") -> str:
+    """A small Figure 11 sweep as ``repro bench`` prints it."""
+    from repro.bench import figure11
+
+    return figure11(count=1, trip=67, backend=backend).format()
+
+
+def forget_loaded() -> None:
+    """Drop every in-process kernel and handle, as a fresh process has."""
+    jit.clear_memory_cache()
+    native.clear_memory_cache()
+
+
+def cached_files(pattern: str) -> list:
+    return sorted(get_cache().root.glob(f"??/{pattern}"))
+
+
+class TestSharedObjects:
+    """One content-addressed .so per cc invocation, shared by every
+    kernel compiled in it (NATIVE_CODE_VERSION 5)."""
+
+    @needs_cc
+    def test_warm_sweep_maps_each_object_once_and_builds_no_jit(self):
+        """A warm fig11 sweep runs every accepted run in C: it builds no
+        jit kernel, launches no cc, and digest-checks and dlopens each
+        distinct shared object exactly once."""
+        cold = fig11_text()
+        forget_loaded()
+        jit_before, before = dict(jit.STATS), dict(native.STATS)
+        assert fig11_text() == cold
+        assert jit.STATS["materialized"] == jit_before["materialized"]
+        assert native.STATS["cc_invocations"] == before["cc_invocations"]
+        loaded = [k for k in native._NATIVE_CACHE.values() if k.cfn]
+        objects = {k.meta.so_sha256 for k in loaded}
+        assert len(loaded) > len(objects) >= 1
+        assert native.STATS["disk_hits"] - before["disk_hits"] == len(loaded)
+        assert native.STATS["so_loads"] - before["so_loads"] == len(objects)
+        # One .c and one .so per object, not per signature.
+        assert len(cached_files("*.so")) == len(objects)
+        assert len(cached_files("*.c")) == len(objects)
+        assert cold == fig11_text("bytes")
+
+    @needs_cc
+    def test_tampered_shared_object_recompiles_to_identical_figure(self):
+        cold = fig11_text()
+        for path in cached_files("*.so"):
+            path.write_bytes(b"\x7fELF but not really")
+        forget_loaded()
+        before = dict(native.STATS)
+        assert fig11_text() == cold == fig11_text("bytes")
+        assert cached_files("*.so.corrupt")
+        assert native.STATS["cc_invocations"] > before["cc_invocations"]
+        assert native.STATS["so_loads"] == before["so_loads"]
+
+    @needs_cc
+    def test_evicted_object_is_a_clean_miss_for_every_entry(self):
+        """Deleting a shared object's group leaves every entry naming
+        it a plain miss — no exception, nothing quarantined — and the
+        sweep recompiles the same figure."""
+        cold = fig11_text()
+        keys = [(sig, native._disk_key(sig, native._compiler_identity()[1]))
+                for sig, k in native._NATIVE_CACHE.items() if k.cfn]
+        for path in cached_files("*.so") + cached_files("*.c"):
+            path.unlink()
+        forget_loaded()
+        cache = get_cache()
+        quarantined = cache.corrupt_quarantined
+        for sig, key in keys:
+            assert native._load_from_disk(cache, key, sig, None) is None
+        assert cache.corrupt_quarantined == quarantined
+        before = dict(native.STATS)
+        assert fig11_text() == cold
+        assert native.STATS["disk_misses"] - before["disk_misses"] == len(keys)
+        assert native.STATS["cc_invocations"] > before["cc_invocations"]
+        assert cache.corrupt_quarantined == quarantined
 
 
 class TestDegradation:
@@ -336,6 +412,26 @@ class TestProfileIntegration:
         run_and_verify(program, backend="native", profile=profile)
         assert profile.counts.get("native_disk_hits", 0) >= 1
         assert profile.hit_rate("native_disk") == 1.0
+
+
+    @needs_cc
+    def test_warm_sweep_profile_shows_kernel_load(self):
+        """The warm acquisition done ahead of a sweep is its own phase
+        row, with the disk hits, .so loads and jit builds it cost."""
+        from repro.bench import figure11
+        from repro.profiling import PhaseProfile
+
+        fig11_text()
+        forget_loaded()
+        profile = PhaseProfile()
+        figure11(count=1, trip=67, backend="native", profile=profile)
+        assert profile.seconds["kernel_load"] > 0.0
+        hits = profile.counts["native_disk_hits"]
+        assert hits > 0
+        text = profile.format()
+        assert "kernel_load" in text
+        assert (f"native kernel load: {hits} disk hits, 1 .so load, "
+                f"0 jit materializations") in text
 
 
 class TestArtifactStore:
