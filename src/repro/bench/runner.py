@@ -541,8 +541,15 @@ def _supervise(tasks, worker, make_job, jobs, policy, profile,
         round_tasks = list(pending)
         pending.clear()
         pool = ProcessPoolExecutor(max_workers=min(jobs, len(round_tasks)))
-        futures = [(pool.submit(worker, make_job(t.indices)), t)
-                   for t in round_tasks]
+        futures = []
+        for t in round_tasks:
+            try:
+                futures.append((pool.submit(worker, make_job(t.indices)), t))
+            except BrokenProcessPool:
+                # A worker died while the round was still being
+                # submitted; the futures already out report the death,
+                # and this task waits for the next round untouched.
+                pending.append(t)
         broken = False
         for fut, task in futures:
             if broken or _interrupted() is not None:

@@ -5,18 +5,24 @@ signature; PR 6 paid one ``cc -O3 -shared`` subprocess per kernel, so
 a cold 24-signature sweep spent ~5.4 s inside the toolchain.  This
 module amortizes that wall three ways:
 
-* **Multi-kernel translation units.**  :func:`compile_requests` groups
-  pending kernels by ``(V, lane dtype)`` — the portable helper block is
-  fixed-name and dtype-parameterized, so kernels sharing the pair live
-  behind one prelude — writes one ``.c`` per group, and feeds *all*
-  groups to a **single** ``cc`` invocation producing one ``.so`` that
-  exports every ``simdal_steady_<digest>`` symbol.  The shared object
-  and its C source are cached *once*, content-addressed by the
-  object's sha256 (:func:`repro.machine.native.tu_key`); each
-  signature's small pickled entry names that digest, so a warm start
-  reads, verifies and ``dlopen``s one object per invocation.  Evicting
-  a signature's entry never disturbs its batch-mates; evicting the
-  object makes every entry naming it miss and recompile.
+* **Multi-kernel translation units, compiled on every core.**
+  :func:`compile_requests` builds one ``.so`` per batch that exports
+  every ``simdal_steady_<digest>`` symbol.  Kernels sharing a
+  ``(V, lane dtype)`` pair live behind one prelude (the portable helper
+  block is fixed-name and dtype-parameterized), so :func:`partition`
+  splits a batch into size-balanced units that never mix pairs, one
+  per usable CPU (:func:`shard_count`).  Each unit compiles in its own
+  ``cc -fPIC -c`` process concurrently and one ``cc -shared`` links
+  the objects in a fixed order, so one batch on one host always gives
+  the same object.  A batch with one shard — one CPU, one kernel, or
+  less than :data:`SHARD_FLOOR` of source — is a single
+  ``cc -shared`` over one unit per pair.  The shared object and its C
+  source are cached *once*, content-addressed by the object's sha256
+  (:func:`repro.machine.native.tu_key`); each signature's small
+  pickled entry names that digest, so a warm start reads, verifies and
+  ``dlopen``s one object per batch.  Evicting a signature's entry
+  never disturbs its batch-mates; evicting the object makes every
+  entry naming it miss and recompile.
 * **Precompile-ahead.**  :func:`precompile` lets the sweep runners
   collect a campaign's signature classes up front and compile them as
   one batch *before* workers fork, so forked workers find warm disk
@@ -30,13 +36,14 @@ module amortizes that wall three ways:
   kernel simply keeps delegating to jit — so injected or real cc
   failures never reach the run.
 
-Failure isolation: a batched ``cc`` failure with more than one kernel
-recompiles each request as a singleton, so one bad unit cannot poison
-its batch-mates.  Timings are returned to the caller, which accounts
-them under ``cc_s``/``load_s`` (foreground) or ``async_cc_s``/
-``async_load_s`` (background) — the async keys are deliberately
-invisible to the profile's phase re-attribution, because background
-compiler seconds overlap run time instead of extending it.
+Failure isolation: a failed shard with more than one kernel recompiles
+each of its requests as a singleton, so one bad kernel cannot poison
+its batch-mates, and the other shards still link and land.  Timings
+are returned to the caller, which accounts them under
+``cc_s``/``load_s`` (foreground) or ``async_cc_s``/``async_load_s``
+(background) — the async keys are deliberately invisible to the
+profile's phase re-attribution, because background compiler seconds
+overlap run time instead of extending it.
 """
 
 from __future__ import annotations
@@ -46,6 +53,7 @@ import ctypes
 import hashlib
 import itertools
 import os
+import shutil
 import signal
 import subprocess
 import threading
@@ -102,8 +110,15 @@ def precompile_enabled() -> bool:
 # Batched translation units
 # ---------------------------------------------------------------------------
 
-#: Monotonic suffix for compiled shared objects (see compile_requests).
+#: Monotonic suffix for compiled shared objects and their build
+#: directories (see compile_requests).
 _SO_SEQ = itertools.count()
+
+#: Kernel source bytes each parallel shard must carry at least: every
+#: shard re-parses the prelude in its own cc1, so below this a split
+#: costs more than the core it frees.  A smaller batch stays one
+#: ``cc -shared`` process.
+SHARD_FLOOR = 48 * 1024
 
 
 def _run_cc(argv):
@@ -138,6 +153,15 @@ def _run_cc(argv):
     return subprocess.CompletedProcess(argv, proc.returncode, stdout, stderr)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, not the host's
+    core count, so ``taskset -c 0`` compiles with one shard."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except (AttributeError, OSError):
+        return os.cpu_count() or 1
+
+
 @dataclass
 class CompileRequest:
     """One signature kernel awaiting compilation.
@@ -159,18 +183,93 @@ class CompileRequest:
     jk: object          # jit._Kernel (fallback + spec)
 
 
-def compile_requests(requests, disk):
-    """Compile ``requests`` as batched TUs behind one ``cc`` invocation.
+def shard_count(requests) -> int:
+    """Parallel ``cc -c`` shards for a foreground batch: one per usable
+    CPU, at most one per request, and at least :data:`SHARD_FLOOR`
+    bytes of kernel source each."""
+    total = sum(len(req.kernel_src) for req in requests)
+    return max(1, min(_usable_cpus(), len(requests),
+                      -(-total // SHARD_FLOOR)))
+
+
+def partition(requests, shards: int) -> list[list[CompileRequest]]:
+    """Split ``requests`` into size-balanced translation units.
+
+    A pure function of the requests and ``shards``, so one batch on one
+    host always yields the same units in the same link order, and so
+    the same ``.so`` digest.  Units never mix ``(V, lane)`` groups (the
+    prelude's typedefs are per pair): each group gets one unit, and the
+    other ``shards - groups`` units go one at a time to the group with
+    the most source bytes per unit.  Within a group, requests are dealt
+    largest ``kernel_src`` first (ties by key) to the lightest unit
+    (ties by index); each unit keeps its requests in request order, so
+    ``shards=1`` is exactly the unsharded one-unit-per-group layout.
+    """
+    groups: OrderedDict[tuple, list] = OrderedDict()
+    for req in requests:
+        groups.setdefault((req.V, req.lane), []).append(req)
+    size = {pair: sum(len(req.kernel_src) for req in group)
+            for pair, group in groups.items()}
+    slots = dict.fromkeys(groups, 1)
+    for _ in range(shards - len(groups)):
+        open_pairs = [pair for pair in groups
+                      if slots[pair] < len(groups[pair])]
+        if not open_pairs:
+            break
+        slots[max(open_pairs, key=lambda p: size[p] / slots[p])] += 1
+    order = {id(req): i for i, req in enumerate(requests)}
+    units = []
+    for pair, group in groups.items():
+        loads = [0] * slots[pair]
+        members: list[list] = [[] for _ in loads]
+        for req in sorted(group, key=lambda r: (-len(r.kernel_src), r.key)):
+            k = loads.index(min(loads))
+            loads[k] += len(req.kernel_src)
+            members[k].append(req)
+        units.extend(sorted(unit, key=lambda r: order[id(r)])
+                     for unit in members if unit)
+    return units
+
+
+def _compile_shards(argvs, workers: int) -> list:
+    """Run every shard's ``cc -c``, ``workers`` at a time: the calling
+    thread compiles the first shard, helper threads the rest."""
+    # Imported here: only cold sharded compiles need it, and a warm
+    # start should not pay for the module.
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=max(1, workers - 1),
+                            thread_name_prefix="repro-native-shard") as pool:
+        rest = [pool.submit(_run_cc, argv) for argv in argvs[1:]]
+        first = _run_cc(argvs[0])
+        return [first, *(future.result() for future in rest)]
+
+
+def compile_requests(requests, disk, parallel=True):
+    """Compile ``requests`` into one shared object.
 
     Returns ``(loaded, failures, cc_s, load_s)`` where ``loaded`` maps
     signature → ``(ctypes function, meta)`` and ``failures`` maps
-    signature → reason.  On a batched compiler failure with more than
-    one request, every request is retried as a singleton so the one
-    broken unit is isolated and its batch-mates still land.  When
-    ``disk`` is a cache, the ``.so`` (a copy, never a hardlink) and the
-    C source of every unit in it are stored once under
-    :func:`~repro.machine.native.tu_key`, then one pickled meta per
-    signature naming the object's digest.
+    signature → reason.  A ``parallel`` batch is split by
+    :func:`partition` into :func:`shard_count` units, each compiled by
+    its own ``cc -fPIC -c`` (see :func:`_compile_shards`), and one
+    ``cc -shared`` links the objects in unit order.  With one shard
+    (one usable CPU, a single kernel, less than :data:`SHARD_FLOOR` of
+    source, or ``parallel=False`` — the background queue, whose
+    compiles must not take the foreground's cores) it is one
+    ``cc -shared`` process over one unit per ``(V, lane)`` group.
+    ``cc_s`` is the batch's wall, not compiler time summed over shards.
+
+    Failure isolation: a failed shard sends only its own requests to
+    singleton recompiles — none when it held one request, whose error
+    is then already known — while the other shards still link and
+    land; a failed single-process compile or link does the same for
+    every request it held.  When ``disk`` is a cache, the ``.so`` (a
+    copy, never a hardlink) and the C source of every unit in it are
+    stored once under :func:`~repro.machine.native.tu_key`, then one
+    pickled meta per signature naming the object's digest.  The unit
+    sources and objects are deleted once the ``.so`` is filed; the
+    ``.so`` stays, since it is mapped.
     """
     native = _nat()
     loaded: dict[str, tuple] = {}
@@ -178,54 +277,95 @@ def compile_requests(requests, disk):
     if not requests:
         return loaded, failures, 0.0, 0.0
     cc, _identity = native._require_compiler()
-    work = native._workdir()
-    units: OrderedDict[tuple, list] = OrderedDict()
-    for req in requests:
-        units.setdefault((req.V, req.lane), []).append(req)
+    base = [cc, *native.compiler_flags()]
+    shards = shard_count(requests) if parallel else 1
+    units = partition(requests, shards)
     batch_id = hashlib.sha256(
         "|".join(req.key for req in requests).encode()
     ).hexdigest()[:16]
-    c_paths = []
-    c_text = []
-    for (V, lane), group in units.items():
-        src = group[0].prelude + "\n".join(req.kernel_src for req in group)
-        path = work / f"tu_{batch_id}_{V}_{lane}.c"
-        path.write_text(src)
-        c_paths.append(path)
-        c_text.append(f"/* ==== {path.name} ==== */\n{src}")
+    seq = next(_SO_SEQ)
+    # Unit files keep fixed names (they are recorded in the object, so
+    # a per-process name would change its digest) inside a directory of
+    # their own, so concurrent compiles of one batch never share files.
     # The output name must be unique per invocation: a recompile of the
     # same batch (e.g. after quarantining a tampered cache entry) would
     # otherwise have the linker truncate an inode that is still mapped
     # by a live dlopen handle — instant SIGBUS on the next symbol call.
-    so_path = work / f"tu_{batch_id}_{next(_SO_SEQ)}.so"
-    start = time.perf_counter()
-    proc = _run_cc(
-        [cc, *native.compiler_flags(), "-shared", "-fPIC",
-         "-o", str(so_path)]
-        + [str(path) for path in c_paths],
-    )
-    cc_s = time.perf_counter() - start
-    native.STATS["cc_invocations"] += 1
-    if proc.returncode != 0:
-        if len(requests) == 1:
-            req = requests[0]
-            failures[req.signature] = (
+    work = native._workdir()
+    build = work / f"build_{seq}"
+    build.mkdir()
+    so_path = work / f"tu_{batch_id}_{seq}.so"
+    good: list[int] = []                  # units that reach the .so
+    failed: list[tuple[list, object]] = []
+    load_s = 0.0
+    try:
+        c_paths = []
+        c_text = []
+        for k, unit in enumerate(units):
+            src = unit[0].prelude + "\n".join(req.kernel_src for req in unit)
+            stem = f"tu_{batch_id}_{unit[0].V}_{unit[0].lane}"
+            path = build / (f"{stem}_s{k}.c" if shards > 1 else f"{stem}.c")
+            path.write_text(src)
+            c_paths.append(path)
+            c_text.append(f"/* ==== {path.name} ==== */\n{src}")
+        link = [*base, "-shared", "-fPIC", "-o", str(so_path)]
+        start = time.perf_counter()
+        if shards == 1:
+            proc = _run_cc(link + [str(path) for path in c_paths])
+            native.STATS["cc_shards"] += 1
+            if proc.returncode == 0:
+                good = list(range(len(units)))
+            else:
+                failed.append((requests, proc))
+        else:
+            objects = [str(path.with_suffix(".o")) for path in c_paths]
+            procs = _compile_shards(
+                [[*base, "-fPIC", "-c", "-o", obj, str(path)]
+                 for path, obj in zip(c_paths, objects)], shards)
+            native.STATS["cc_shards"] += len(units)
+            for k, proc in enumerate(procs):
+                if proc.returncode == 0:
+                    good.append(k)
+                else:
+                    failed.append((units[k], proc))
+            if good:
+                proc = _run_cc(link + [objects[k] for k in good])
+                if proc.returncode != 0:
+                    failed.append(([req for k in good for req in units[k]],
+                                   proc))
+                    good = []
+        cc_s = time.perf_counter() - start
+        native.STATS["cc_invocations"] += 1
+        if good:
+            load_s = _land([req for k in good for req in units[k]], so_path,
+                           "\n".join(c_text[k] for k in good), disk, loaded)
+    finally:
+        shutil.rmtree(build, ignore_errors=True)
+    for unit, proc in failed:
+        if len(unit) == 1:
+            failures[unit[0].signature] = (
                 f"{cc} failed (exit {proc.returncode}): "
                 f"{proc.stderr.strip()[:500]}"
             )
-            return loaded, failures, cc_s, 0.0
-        # One bad kernel must not sink its batch-mates: isolate the
-        # culprit by recompiling every request as a singleton.
-        load_s = 0.0
-        for req in requests:
+            continue
+        # One bad kernel must not sink its unit-mates: isolate the
+        # culprit by recompiling each of them as a singleton.
+        for req in unit:
             sub_loaded, sub_failed, sub_cc, sub_load = compile_requests(
                 [req], disk)
             loaded.update(sub_loaded)
             failures.update(sub_failed)
             cc_s += sub_cc
             load_s += sub_load
-        return loaded, failures, cc_s, load_s
-    native.STATS["tus"] += len(units)
+    return loaded, failures, cc_s, load_s
+
+
+def _land(requests, so_path, c_text: str, disk, loaded: dict) -> float:
+    """``dlopen`` a freshly linked ``.so``, bind every request's
+    functions into ``loaded`` and file the object, its C source and the
+    metas naming it in ``disk``; returns the load seconds."""
+    native = _nat()
+    native.STATS["tus"] += len({(req.V, req.lane) for req in requests})
     native.STATS["tu_kernels"] += len(requests)
     so_digest = hashlib.sha256(so_path.read_bytes()).hexdigest()
     start = time.perf_counter()
@@ -240,11 +380,11 @@ def compile_requests(requests, disk):
         # Object first, entries last: a reader that finds an entry
         # finds the object it names.
         tu = native.tu_key(so_digest)
-        disk.put_artifact(tu, ".c", "\n".join(c_text).encode())
+        disk.put_artifact(tu, ".c", c_text.encode())
         disk.put_artifact_file(tu, ".so", so_path)
         for req in requests:
             disk.put(req.key, req.meta)
-    return loaded, failures, cc_s, load_s
+    return load_s
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +500,10 @@ class _CompileQueue:
     (in-flight dedup keyed by signature) and wakes the worker; the
     worker pops *everything* pending in one go and compiles it as one
     batched ``cc`` invocation, so a burst of N cold signatures still
-    costs one toolchain launch.  On success each placeholder kernel is
+    costs one toolchain launch.  That invocation is always a single
+    process (``parallel=False``): the queue exists to overlap run time
+    on a spare core, so it must not fan out over the foreground's
+    cores.  On success each placeholder kernel is
     hot-swapped in publication order — meta first, stale plan cleared,
     the ctypes function last — so a reader that observes ``cfn`` set
     always sees the matching tables (readers check ``cfn`` before
@@ -475,7 +618,7 @@ class _CompileQueue:
         try:
             _fault("compile")
             loaded, failures, cc_s, load_s = compile_requests(
-                batch, get_cache())
+                batch, get_cache(), parallel=False)
         except Exception as exc:  # injected faults included: stay on jit
             loaded, cc_s, load_s = {}, 0.0, 0.0
             failures = {req.signature: f"async native compile failed: {exc}"

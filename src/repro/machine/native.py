@@ -147,9 +147,10 @@ STATS = {
     "so_loads": 0,         # cached .so files digest-checked and dlopened
     "cc_s": 0.0,           # foreground seconds inside the system compiler
     "load_s": 0.0,         # foreground seconds loading shared objects
-    "cc_invocations": 0,   # compiler subprocesses launched
-    "cc_timeouts": 0,      # invocations killed at REPRO_CC_TIMEOUT
-    "tus": 0,              # translation units fed to those invocations
+    "cc_invocations": 0,   # batched compiles, one per .so built
+    "cc_shards": 0,        # compile processes behind those batches
+    "cc_timeouts": 0,      # cc processes killed at REPRO_CC_TIMEOUT
+    "tus": 0,              # (V, lane) groups in the .so files built
     "tu_kernels": 0,       # kernels carried by successful batches
     "precompiled": 0,      # kernels compiled ahead by the sweep pipeline
     "async_compiles": 0,   # jobs submitted to the background queue

@@ -140,9 +140,11 @@ class PhaseProfile:
         if invocations:
             kernels = self.counts.get("native_tu_kernels", 0)
             tus = self.counts.get("native_tus", 0)
+            shards = self.counts.get("native_cc_shards", 0)
             line = (f"native pipeline: {kernels} kernels in {tus} "
                     f"translation units via {invocations} cc "
-                    f"invocation{'s' if invocations != 1 else ''}")
+                    f"invocation{'s' if invocations != 1 else ''}, "
+                    f"{shards} parallel shard{'s' if shards != 1 else ''}")
             lines.append(line)
             detail = []
             for name, label in (("native_precompiled", "precompiled"),

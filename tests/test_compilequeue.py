@@ -3,9 +3,10 @@
 ``test_native.py`` pins the per-kernel acquisition machinery; this
 file pins the pipeline that amortizes it — multi-kernel translation
 units behind one ``cc`` invocation (:func:`compile_requests` /
-:func:`precompile`), per-signature entries that stay individually
-evictable next to the one shared object they name, the background compile queue with hot-swap and
-silent jit degradation, compiler re-resolution under ``REPRO_CC``, the
+:func:`precompile`), the parallel shards such a batch compiles as,
+per-signature entries that stay individually evictable next to the one
+shared object they name, the background compile queue with hot-swap
+and silent jit degradation, compiler re-resolution under ``REPRO_CC``, the
 concurrent-writer atomicity of artifact groups, and the worker
 right-sizing that fixed the jobs=2 sweep regression.  The differential
 property at the bottom holds every acquisition mode — per-kernel sync,
@@ -15,6 +16,7 @@ oracle on random sweep configs.
 
 from __future__ import annotations
 
+import hashlib
 import multiprocessing
 import random
 import tempfile
@@ -183,6 +185,260 @@ class TestBatchedTranslationUnits:
         assert cc_s > 0.0
 
 
+def cold_requests(programs):
+    """Fresh compile requests for ``programs`` (no cache involved)."""
+    identity = native._compiler_identity()[1]
+    requests = []
+    for program in programs:
+        signature = jit._cached_signature(program)
+        requests.append(native.build_request(
+            signature, native._disk_key(signature, identity),
+            jit.get_kernel(program), program))
+    return requests
+
+
+def fake_request(key, size, V=16, lane="int16"):
+    return compilequeue.CompileRequest(
+        signature=key, key=key, symbol=key, V=V, lane=lane,
+        kernel_src="x" * size, prelude="", meta=None, jk=None)
+
+
+@pytest.fixture
+def cc_calls(monkeypatch):
+    """Every argv handed to ``_run_cc``, in call order."""
+    calls = []
+    real = compilequeue._run_cc
+
+    def spy(argv):
+        calls.append(list(argv))
+        return real(argv)
+
+    monkeypatch.setattr(compilequeue, "_run_cc", spy)
+    return calls
+
+
+def use_cpus(monkeypatch, count):
+    monkeypatch.setattr(compilequeue, "_usable_cpus", lambda: count)
+
+
+class TestShardedCompile:
+    """A foreground batch compiles as parallel ``cc -c`` shards linked
+    into one shared object; every count below is host-independent
+    because the usable-CPU helper is patched."""
+
+    def test_partition_is_deterministic_and_never_mixes_groups(self):
+        sizes = [9000, 500, 7000, 7000, 3000, 12000, 100, 6500]
+        requests = [fake_request(f"k{i}", size, lane=("int16", "int32")[i % 2])
+                    for i, size in enumerate(sizes)]
+        units = compilequeue.partition(requests, 5)
+        # int32 carries more bytes, so it gets the third unit; each
+        # group's kernels are dealt largest first to its lightest unit.
+        assert [[r.key for r in unit] for unit in units] == [
+            ["k0", "k6"], ["k2", "k4"], ["k5"], ["k3"], ["k1", "k7"]]
+        assert all(len({(r.V, r.lane) for r in unit}) == 1 for unit in units)
+        assert sorted(r.key for unit in units for r in unit) == \
+            sorted(r.key for r in requests)
+        assert [[r.key for r in unit] for unit in units] == \
+            [[r.key for r in unit]
+             for unit in compilequeue.partition(requests, 5)]
+        # One shard is the unsharded layout: one unit per group, in
+        # request order.
+        assert [[r.key for r in unit]
+                for unit in compilequeue.partition(requests, 1)] == \
+            [[f"k{i}" for i in range(0, 8, 2)],
+             [f"k{i}" for i in range(1, 8, 2)]]
+
+    def test_shard_count_rules(self, monkeypatch):
+        floor = compilequeue.SHARD_FLOOR
+        use_cpus(monkeypatch, 4)
+        big = [fake_request(f"k{i}", floor) for i in range(8)]
+        assert compilequeue.shard_count(big) == 4
+        assert compilequeue.shard_count(big[:1]) == 1
+        assert compilequeue.shard_count(big[:3]) == 3
+        small = [fake_request(f"k{i}", floor // 8) for i in range(8)]
+        assert compilequeue.shard_count(small) == 1
+        use_cpus(monkeypatch, 1)
+        assert compilequeue.shard_count(big) == 1
+
+    @needs_cc
+    def test_one_cpu_builds_one_shard_in_one_process(self, monkeypatch,
+                                                     cc_calls):
+        use_cpus(monkeypatch, 1)
+        requests = cold_requests(sweep_programs(count=2))
+        before = dict(native.STATS)
+        loaded, failures, _cc_s, _load_s = compilequeue.compile_requests(
+            requests, None)
+        assert not failures and len(loaded) == len(requests)
+        assert len(cc_calls) == 1
+        assert "-shared" in cc_calls[0] and "-c" not in cc_calls[0]
+        assert native.STATS["cc_shards"] == before["cc_shards"] + 1
+        assert native.STATS["cc_invocations"] == \
+            before["cc_invocations"] + 1
+
+    @needs_cc
+    def test_four_cpus_shard_the_fig11_batch(self, monkeypatch, cc_calls):
+        use_cpus(monkeypatch, 4)
+        requests = cold_requests(sweep_programs(count=2))
+        shards = compilequeue.shard_count(requests)
+        assert 1 < shards <= 4
+        before = dict(native.STATS)
+        loaded, failures, _cc_s, _load_s = compilequeue.compile_requests(
+            requests, None)
+        assert not failures and len(loaded) == len(requests)
+        assert native.STATS["cc_shards"] == before["cc_shards"] + shards
+        assert native.STATS["cc_invocations"] == \
+            before["cc_invocations"] + 1
+        assert native.STATS["tus"] == before["tus"] + 1
+        assert len({meta.so_sha256 for _fns, meta in loaded.values()}) == 1
+        compiles = [argv for argv in cc_calls if "-c" in argv]
+        links = [argv for argv in cc_calls if "-shared" in argv]
+        assert len(compiles) == shards and len(links) == 1
+        # Fixed link order, and the optimization flags reach the link.
+        objects = links[0][-shards:]
+        assert all(obj.endswith(f"_s{k}.o") for k, obj in enumerate(objects))
+        flags = list(native.compiler_flags())
+        assert links[0][1:1 + len(flags)] == flags
+
+    @needs_cc
+    def test_single_kernel_stays_one_process(self, monkeypatch, cc_calls):
+        use_cpus(monkeypatch, 4)
+        requests = cold_requests(sweep_programs(count=1))
+        assert compilequeue.shard_count(requests[:3]) == 1   # below floor
+        before = dict(native.STATS)
+        loaded, failures, _cc_s, _load_s = compilequeue.compile_requests(
+            requests[:1], None)
+        assert not failures and len(loaded) == 1
+        assert len(cc_calls) == 1 and "-c" not in cc_calls[0]
+        assert native.STATS["cc_shards"] == before["cc_shards"] + 1
+
+    @needs_cc
+    def test_sharded_kernels_match_bytes_oracle(self, monkeypatch):
+        use_cpus(monkeypatch, 4)
+        programs = sweep_programs(count=1)
+        before = dict(native.STATS)
+        assert compilequeue.precompile(programs) == len(programs)
+        assert native.STATS["cc_shards"] - before["cc_shards"] > 1
+        for program in programs:
+            rand = random.Random(11)
+            space = make_space(program.source, program.V, rand)
+            base = space.make_memory()
+            fill_random(space, base, rand)
+            runs = {}
+            for name in ("bytes", "native"):
+                mem = base.clone()
+                run = get_backend(name).run(program, space, mem,
+                                            RunBindings())
+                runs[name] = (mem.snapshot(), run.counters.as_dict(),
+                              run.used_fallback)
+            assert runs["bytes"][:2] == runs["native"][:2]
+            assert not runs["native"][2]
+
+    @needs_cc
+    def test_broken_kernel_spares_the_other_shards(self, monkeypatch):
+        """Only the failed shard's requests go to singleton recompiles;
+        every other shard links and lands from the one batch."""
+        use_cpus(monkeypatch, 4)
+        requests = cold_requests(sweep_programs(count=2))
+        culprit = requests[5]
+        culprit.kernel_src = "void broken(void) { this is not C; }"
+        shards = compilequeue.shard_count(requests)
+        assert shards > 1
+        unit = next(unit for unit in compilequeue.partition(requests, shards)
+                    if culprit in unit)
+        singletons = []
+        real = compilequeue.compile_requests
+
+        def spy(batch, disk, **kwargs):
+            if len(batch) == 1:
+                singletons.append(batch[0].signature)
+            return real(batch, disk, **kwargs)
+
+        monkeypatch.setattr(compilequeue, "compile_requests", spy)
+        before = dict(native.STATS)
+        loaded, failures, _cc_s, _load_s = compilequeue.compile_requests(
+            requests, None)
+        assert set(failures) == {culprit.signature}
+        assert "exit" in failures[culprit.signature]
+        assert set(loaded) == {r.signature for r in requests} - set(failures)
+        expected = {r.signature for r in unit} if len(unit) > 1 else set()
+        assert set(singletons) == expected
+        assert native.STATS["cc_invocations"] == \
+            before["cc_invocations"] + 1 + len(singletons)
+        assert not list(native._workdir().glob("build_*"))
+
+    @needs_cc
+    def test_async_queue_compiles_with_one_shard(self, monkeypatch,
+                                                 cc_calls):
+        use_cpus(monkeypatch, 4)
+        requests = cold_requests(sweep_programs(count=2))
+        assert compilequeue.shard_count(requests) > 1
+        before = dict(native.STATS)
+        compilequeue._QUEUE._compile_batch(requests, {})
+        assert native.STATS["async_failures"] == before["async_failures"]
+        assert native.STATS["cc_shards"] == before["cc_shards"] + 1
+        assert len(cc_calls) == 1 and "-c" not in cc_calls[0]
+
+    @needs_cc
+    def test_workdir_keeps_only_the_shared_object(self, monkeypatch):
+        use_cpus(monkeypatch, 4)
+        requests = cold_requests(sweep_programs(count=1))
+        loaded, failures, _cc_s, _load_s = compilequeue.compile_requests(
+            requests, None)
+        assert not failures
+        work = native._workdir()
+        assert not list(work.rglob("*.o"))
+        assert not list(work.rglob("tu_*.c"))
+        assert not list(work.glob("build_*"))
+        digest = next(iter(loaded.values()))[1].so_sha256
+        assert any(hashlib.sha256(path.read_bytes()).hexdigest() == digest
+                   for path in work.glob("tu_*.so"))
+
+    @needs_cc
+    def test_fresh_processes_build_identical_objects(self, tmp_path):
+        """Two cold processes compiling one sharded batch produce the
+        same object digest (perfbench's exact byte counts rely on it)."""
+        import os
+        import subprocess
+        import sys
+        import textwrap
+
+        root = Path(__file__).resolve().parent.parent
+        code = textwrap.dedent("""
+            from repro.bench.figures import figure_configs
+            from repro.bench.synth import synthesize
+            from repro.machine import compilequeue, jit, native
+            from repro.simdize import simdize
+
+            compilequeue._usable_cpus = lambda: 4
+            programs = {}
+            for _scheme, cfg in figure_configs(False, count=1, trip=67):
+                loop = synthesize(cfg.params, cfg.seed, cfg.V).loop
+                program = simdize(loop, cfg.V, cfg.options).program
+                programs.setdefault(jit._cached_signature(program), program)
+            identity = native._compiler_identity()[1]
+            requests = [native.build_request(
+                sig, native._disk_key(sig, identity), jit.get_kernel(p), p)
+                for sig, p in programs.items()]
+            loaded, failures, _, _ = compilequeue.compile_requests(
+                requests, None)
+            assert not failures, failures
+            digests = {meta.so_sha256 for _fns, meta in loaded.values()}
+            print(native.STATS["cc_shards"], *digests)
+        """)
+        env = dict(os.environ, PYTHONPATH=str(root / "src"),
+                   REPRO_CACHE_DIR=str(tmp_path / "cache"))
+        outputs = []
+        for _ in range(2):
+            proc = subprocess.run([sys.executable, "-c", code],
+                                  capture_output=True, text=True, env=env,
+                                  cwd=str(tmp_path), timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout.split())
+        assert outputs[0] == outputs[1]
+        shards, digest = outputs[0]
+        assert int(shards) > 1 and len(digest) == 64
+
+
 class TestAsyncQueue:
     @needs_cc
     def test_hot_swap_lands_after_drain(self):
@@ -220,9 +476,9 @@ class TestAsyncQueue:
         gate = threading.Event()
         real = compilequeue.compile_requests
 
-        def gated(requests, disk):
+        def gated(requests, disk, **kwargs):
             gate.wait(timeout=60.0)
-            return real(requests, disk)
+            return real(requests, disk, **kwargs)
 
         monkeypatch.setattr(compilequeue, "compile_requests", gated)
         program = simdize(build_fig1(trip=97), 16,
@@ -493,9 +749,9 @@ class TestBatchAcquisitionModes:
         gate = threading.Event()
         real = compilequeue.compile_requests
 
-        def gated(requests, disk):
+        def gated(requests, disk, **kwargs):
             gate.wait(timeout=60.0)
-            return real(requests, disk)
+            return real(requests, disk, **kwargs)
 
         monkeypatch.setattr(compilequeue, "compile_requests", gated)
         items = _class_items((51, 67, 83))

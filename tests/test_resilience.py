@@ -169,6 +169,39 @@ class TestSupervisedSweep:
         assert profile.counts["pool_restarts"] >= 1
         assert profile.counts["serial_fallbacks"] == 1
 
+    def test_pool_breaking_mid_submit_requeues_the_rest(self, monkeypatch):
+        """A worker can die while its round is still being submitted:
+        ``submit`` then raises, and the unsubmitted chunks must wait
+        for the next round instead of escaping from the sweep."""
+        from concurrent.futures import Future
+        from concurrent.futures.process import BrokenProcessPool
+
+        from repro.bench import runner
+
+        class BreakingPool:
+            def __init__(self, max_workers):
+                self.submitted = 0
+
+            def submit(self, fn, *args):
+                self.submitted += 1
+                if self.submitted > 1:
+                    raise BrokenProcessPool("a worker died")
+                future = Future()
+                future.set_exception(BrokenProcessPool("a worker died"))
+                return future
+
+            def shutdown(self, wait=True, cancel_futures=False):
+                pass
+
+        configs = _sweep_configs()
+        clean = measure_many(configs, jobs=1)
+        monkeypatch.setattr(runner.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(runner, "ProcessPoolExecutor", BreakingPool)
+        profile = PhaseProfile()
+        rows = measure_many(configs, jobs=2, profile=profile)
+        assert rows == clean
+        assert profile.counts["serial_fallbacks"] == 1
+
     def test_transient_fault_is_retried_away(self, monkeypatch):
         configs = _sweep_configs()
         clean = measure_many(configs, jobs=1)
