@@ -35,48 +35,32 @@ from __future__ import annotations
 
 import random
 
-from repro.errors import SimdalError
-from repro.ir import LoopBuilder, Loop, figure1_loop
-from repro.lang import compile_source, simdize_source
-from repro.machine import (
-    ArraySpace,
-    BACKEND_CHOICES,
-    SCALAR_BACKEND_CHOICES,
-    ExecutionBackend,
-    Memory,
-    RunBindings,
-    ScalarBackend,
-    get_backend,
-    get_scalar_backend,
-    numpy_available,
-    run_scalar,
-    run_vector,
-)
-from repro.simdize import (
-    EquivalenceReport,
-    SimdOptions,
-    SimdizeResult,
-    fill_random,
-    make_space,
-    simdize,
-    verify_equivalence,
-)
-from repro.vir import VProgram, format_program
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "SimdalError", "LoopBuilder", "Loop", "figure1_loop",
-    "compile_source", "simdize_source",
-    "ArraySpace", "Memory", "RunBindings", "run_scalar", "run_vector",
-    "BACKEND_CHOICES", "SCALAR_BACKEND_CHOICES",
-    "ExecutionBackend", "ScalarBackend",
-    "get_backend", "get_scalar_backend", "numpy_available",
-    "EquivalenceReport", "SimdOptions", "SimdizeResult", "fill_random",
-    "make_space", "simdize", "verify_equivalence",
-    "VProgram", "format_program",
-    "run_and_verify",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.errors": ("SimdalError",),
+    "repro.ir": ("LoopBuilder", "Loop", "figure1_loop"),
+    "repro.lang": ("compile_source", "simdize_source"),
+    "repro.machine": (
+        "ArraySpace", "Memory", "RunBindings", "run_scalar", "run_vector",
+        "BACKEND_CHOICES", "SCALAR_BACKEND_CHOICES", "ExecutionBackend",
+        "ScalarBackend", "get_backend", "get_scalar_backend",
+        "numpy_available",
+    ),
+    "repro.simdize": (
+        "EquivalenceReport", "SimdOptions", "SimdizeResult", "fill_random",
+        "make_space", "verify_equivalence",
+    ),
+    "repro.vir": ("VProgram", "format_program"),
+})
+__all__ += ["simdize", "run_and_verify"]
+
+# ``simdize`` is both a subpackage and the driver function exported
+# here.  Importing a submodule binds it on its parent package, so the
+# function must be bound after the subpackage loads, not on first read.
+from repro.simdize.driver import simdize  # noqa: E402
 
 
 def run_and_verify(
@@ -101,6 +85,9 @@ def run_and_verify(
     :class:`repro.profiling.PhaseProfile` accumulates execute/verify
     (and jit compile / native cc) phase timings into it.
     """
+    from repro.machine.scalar import RunBindings
+    from repro.simdize.verify import fill_random, make_space, verify_equivalence
+
     rng = random.Random(seed)
     loop = program.source
     space = make_space(loop, program.V, rng)

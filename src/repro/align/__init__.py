@@ -1,28 +1,14 @@
 """Alignment analysis: stream offsets and their lattice."""
 
-from repro.align.analysis import (
-    distinct_alignments,
-    loop_offsets,
-    misaligned_fraction,
-    misaligned_stream_count,
-    ref_offset,
-    ref_offset_sexpr,
-)
-from repro.align.offsets import (
-    ANY,
-    AnyOffset,
-    KnownOffset,
-    Offset,
-    RuntimeOffset,
-    ZERO,
-    compatible,
-    merge,
-    merge_all,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "distinct_alignments", "loop_offsets", "misaligned_fraction",
-    "misaligned_stream_count", "ref_offset", "ref_offset_sexpr",
-    "ANY", "AnyOffset", "KnownOffset", "Offset", "RuntimeOffset", "ZERO",
-    "compatible", "merge", "merge_all",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.align.analysis": (
+        "distinct_alignments", "loop_offsets", "misaligned_fraction",
+        "misaligned_stream_count", "ref_offset", "ref_offset_sexpr",
+    ),
+    "repro.align.offsets": (
+        "ANY", "AnyOffset", "KnownOffset", "Offset", "RuntimeOffset", "ZERO",
+        "compatible", "merge", "merge_all",
+    ),
+})

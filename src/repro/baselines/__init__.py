@@ -1,16 +1,12 @@
 """Comparison baselines: ideal scalar, loop peeling, VAST-equivalent."""
 
-from repro.baselines.peeling import (
-    PeelingMeasurement,
-    measure_peeling,
-    peeling_alignment,
-    peeling_applicable,
-)
-from repro.baselines.scalar_seq import SeqMeasurement, measure_seq
-from repro.baselines.vast import VAST_OPTIONS, vast_options
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "PeelingMeasurement", "measure_peeling", "peeling_alignment",
-    "peeling_applicable", "SeqMeasurement", "measure_seq",
-    "VAST_OPTIONS", "vast_options",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.baselines.peeling": (
+        "PeelingMeasurement", "measure_peeling", "peeling_alignment",
+        "peeling_applicable",
+    ),
+    "repro.baselines.scalar_seq": ("SeqMeasurement", "measure_seq"),
+    "repro.baselines.vast": ("VAST_OPTIONS", "vast_options"),
+})

@@ -33,7 +33,6 @@ import argparse
 import sys
 
 from repro.errors import SimdalError, SweepInterrupted, VerificationError
-from repro.lang import compile_source
 from repro.machine.backend import BACKEND_CHOICES, SCALAR_BACKEND_CHOICES
 from repro.simdize.options import SimdOptions
 
@@ -43,6 +42,14 @@ def _read_source(path: str) -> str:
         return sys.stdin.read()
     with open(path, "r", encoding="utf-8") as handle:
         return handle.read()
+
+
+def _read_loop(args: argparse.Namespace):
+    """The command's mini-C input compiled to a loop (the frontend
+    loads only for the commands that read one)."""
+    from repro.lang import compile_source
+
+    return compile_source(_read_source(args.file), name=args.name)
 
 
 def _options(args: argparse.Namespace) -> SimdOptions:
@@ -142,7 +149,7 @@ def cmd_simdize(args: argparse.Namespace) -> int:
     from repro.simdize.driver import simdize
     from repro.vir.printer import format_program
 
-    loop = compile_source(_read_source(args.file), name=args.name)
+    loop = _read_loop(args)
     result = simdize(loop, args.V, _options(args))
     print(f"// policy: {result.policy}, stream shifts: {result.shift_count}")
     print(format_program(result.program, altivec=(args.dialect == "altivec")))
@@ -155,7 +162,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     _apply_cache_dir(args)
     profile = _make_profile(args)
-    loop = compile_source(_read_source(args.file), name=args.name)
+    loop = _read_loop(args)
     result = simdize(loop, args.V, _options(args))
     trip, scalars = _bindings(args)
     report = run_and_verify(result.program, seed=args.seed, trip=trip,
@@ -189,7 +196,7 @@ def cmd_export(args: argparse.Namespace) -> int:
     from repro.export import cross_validate, export_c
     from repro.simdize.driver import simdize
 
-    loop = compile_source(_read_source(args.file), name=args.name)
+    loop = _read_loop(args)
     result = simdize(loop, args.V, _options(args))
     source = export_c(result.program, backend=args.backend)
     if args.output:
@@ -211,7 +218,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
     from repro.reorg import apply_policy, build_loop_graph
     from repro.viz.streams import loop_alignment_table, memory_stream
 
-    loop = compile_source(_read_source(args.file), name=args.name)
+    loop = _read_loop(args)
     print(loop)
     print()
     print("alignment of each reference:")

@@ -1,11 +1,12 @@
 """SIMD code generation: graph -> vector program."""
 
-from repro.codegen.context import CodegenCtx
-from repro.codegen.exprgen import ShiftPlan, gen_expr, gen_shift_stream, plan_shift
-from repro.codegen.loopgen import GenOptions, generate_program
-from repro.codegen.swp import SwpPieces, gen_expr_sp
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CodegenCtx", "ShiftPlan", "gen_expr", "gen_shift_stream", "plan_shift",
-    "GenOptions", "generate_program", "SwpPieces", "gen_expr_sp",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.codegen.context": ("CodegenCtx",),
+    "repro.codegen.exprgen": (
+        "ShiftPlan", "gen_expr", "gen_shift_stream", "plan_shift",
+    ),
+    "repro.codegen.loopgen": ("GenOptions", "generate_program"),
+    "repro.codegen.swp": ("SwpPieces", "gen_expr_sp"),
+})

@@ -1,19 +1,14 @@
 """C code export: AltiVec and SSE intrinsics backends + cross-validation."""
 
-from repro.export.altivec import AltivecBackend
-from repro.export.cgen import Backend, CEmitter
-from repro.export.portable import PortableBackend
-from repro.export.sse import SseBackend
-from repro.export.validate import (
-    BACKENDS,
-    CrossValidationReport,
-    cross_validate,
-    export_c,
-    find_compiler,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AltivecBackend", "Backend", "CEmitter", "PortableBackend", "SseBackend",
-    "BACKENDS", "CrossValidationReport", "cross_validate", "export_c",
-    "find_compiler",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.export.altivec": ("AltivecBackend",),
+    "repro.export.cgen": ("Backend", "CEmitter"),
+    "repro.export.portable": ("PortableBackend",),
+    "repro.export.sse": ("SseBackend",),
+    "repro.export.validate": (
+        "BACKENDS", "CrossValidationReport", "cross_validate", "export_c",
+        "find_compiler",
+    ),
+})

@@ -1,49 +1,19 @@
 """Scalar loop IR: the simdizer's input language."""
 
-from repro.ir.expr import (
-    ArrayDecl,
-    LoopIndex,
-    BinOp,
-    Const,
-    Expr,
-    Loop,
-    Reduction,
-    Ref,
-    ScalarVar,
-    Statement,
-    as_expr,
-    validate_loop,
-)
-from repro.ir.builder import ArrayHandle, ExprHandle, LoopBuilder, figure1_loop
-from repro.ir.types import (
-    ADD,
-    ALL_OPS,
-    ALL_TYPES,
-    AND,
-    AVG,
-    INT8,
-    INT16,
-    INT32,
-    MAX,
-    MIN,
-    MUL,
-    OR,
-    SUB,
-    UINT8,
-    UINT16,
-    UINT32,
-    XOR,
-    BinaryOp,
-    DataType,
-    op_by_name,
-    type_by_name,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ArrayDecl", "BinOp", "Const", "Expr", "Loop", "LoopIndex", "Reduction", "Ref", "ScalarVar",
-    "Statement", "as_expr", "validate_loop",
-    "ArrayHandle", "ExprHandle", "LoopBuilder", "figure1_loop",
-    "ADD", "ALL_OPS", "ALL_TYPES", "AND", "AVG", "INT8", "INT16", "INT32",
-    "MAX", "MIN", "MUL", "OR", "SUB", "UINT8", "UINT16", "UINT32", "XOR",
-    "BinaryOp", "DataType", "op_by_name", "type_by_name",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.ir.expr": (
+        "ArrayDecl", "LoopIndex", "BinOp", "Const", "Expr", "Loop",
+        "Reduction", "Ref", "ScalarVar", "Statement", "as_expr",
+        "validate_loop",
+    ),
+    "repro.ir.builder": (
+        "ArrayHandle", "ExprHandle", "LoopBuilder", "figure1_loop",
+    ),
+    "repro.ir.types": (
+        "ADD", "ALL_OPS", "ALL_TYPES", "AND", "AVG", "INT8", "INT16", "INT32",
+        "MAX", "MIN", "MUL", "OR", "SUB", "UINT8", "UINT16", "UINT32", "XOR",
+        "BinaryOp", "DataType", "op_by_name", "type_by_name",
+    ),
+})

@@ -1,8 +1,10 @@
 """Mini-C frontend for the simdizer."""
 
-from repro.lang.frontend import compile_source, simdize_source
-from repro.lang.lexer import Token, tokenize
-from repro.lang.parser import parse
-from repro.lang.sema import analyze
+from repro._lazy import lazy_exports
 
-__all__ = ["compile_source", "simdize_source", "Token", "tokenize", "parse", "analyze"]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.lang.frontend": ("compile_source", "simdize_source"),
+    "repro.lang.lexer": ("Token", "tokenize"),
+    "repro.lang.parser": ("parse",),
+    "repro.lang.sema": ("analyze",),
+})

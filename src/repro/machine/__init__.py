@@ -1,43 +1,24 @@
 """Virtual SIMD machine: memory, arrays, vector semantics, interpreters."""
 
-from repro.machine.arrays import ArraySpace, BoundArray, GUARD_VECTORS
-from repro.machine.backend import (
-    BACKEND_CHOICES,
-    SCALAR_BACKEND_CHOICES,
-    BytesBackend,
-    BytesScalarBackend,
-    ExecutionBackend,
-    ScalarBackend,
-    default_backend_name,
-    get_backend,
-    get_scalar_backend,
-    jit_compile_stats,
-    numpy_available,
-)
-from repro.machine.counters import OpCounters
-from repro.machine.interp import VectorRunResult, run_vector
-from repro.machine.memory import Memory
-from repro.machine.trace import Trace, TraceEvent
-from repro.machine.scalar import (
-    RunBindings,
-    ScalarRunResult,
-    ideal_scalar_opd,
-    ideal_scalar_ops,
-    reference_counters,
-    run_scalar,
-)
-from repro.machine.vector import from_lanes, lanes, vbinop, vshiftpair, vsplat, vsplice
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ArraySpace", "BoundArray", "GUARD_VECTORS", "OpCounters",
-    "BACKEND_CHOICES", "SCALAR_BACKEND_CHOICES",
-    "BytesBackend", "BytesScalarBackend",
-    "ExecutionBackend", "ScalarBackend",
-    "default_backend_name", "get_backend", "get_scalar_backend",
-    "jit_compile_stats", "numpy_available",
-    "VectorRunResult", "run_vector", "Memory", "RunBindings",
-    "ScalarRunResult", "ideal_scalar_opd", "ideal_scalar_ops",
-    "reference_counters", "run_scalar",
-    "from_lanes", "lanes", "vbinop", "vshiftpair", "vsplat", "vsplice",
-    "Trace", "TraceEvent",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.machine.arrays": ("ArraySpace", "BoundArray", "GUARD_VECTORS"),
+    "repro.machine.backend": (
+        "BACKEND_CHOICES", "SCALAR_BACKEND_CHOICES", "BytesBackend",
+        "BytesScalarBackend", "ExecutionBackend", "ScalarBackend",
+        "default_backend_name", "get_backend", "get_scalar_backend",
+        "jit_compile_stats", "numpy_available",
+    ),
+    "repro.machine.counters": ("OpCounters",),
+    "repro.machine.interp": ("VectorRunResult", "run_vector"),
+    "repro.machine.memory": ("Memory",),
+    "repro.machine.trace": ("Trace", "TraceEvent"),
+    "repro.machine.scalar": (
+        "RunBindings", "ScalarRunResult", "ideal_scalar_opd",
+        "ideal_scalar_ops", "reference_counters", "run_scalar",
+    ),
+    "repro.machine.vector": (
+        "from_lanes", "lanes", "vbinop", "vshiftpair", "vsplat", "vsplice",
+    ),
+})

@@ -18,7 +18,8 @@ undefined behaviour that manifests as ``movaps`` faults.
 ``memoryview``.  The view pins the backing (a ``BufferError`` greets
 any resize attempt while it is live), so a ctypes array created over
 the view — :func:`as_ctypes_u8` — stays valid for the duration of a
-kernel call.
+kernel call.  :func:`aligned_empty` gives the same kind of view over
+uninitialised storage, for copies that overwrite every byte anyway.
 
 ``ALIGNMENT`` is 64: a multiple of every supported vector width V
 (16 here, headroom through AVX-512) *and* the common cache-line size,
@@ -60,18 +61,50 @@ def aligned_view(size: int, align: int = ALIGNMENT,
     any ctypes export of the view exists the backing cannot resize —
     which it never needs to: these buffers are fixed-size by
     construction.  ``fill`` optionally initializes every payload byte;
-    the default leaves the (zeroed) bytearray content.
+    the default leaves the backing zeroed (the native tier's shadow
+    buffers rely on that).  Either way the backing is written in one
+    pass: a filled one is built by byte repetition (a ``memset``), not
+    zeroed first and then overwritten.
     """
+    _check_request(size, align)
+    if fill is None:
+        backing = bytearray(size + align)
+    else:
+        backing = bytearray((fill,)) * (size + align)
+    return _aligned_slice(backing, size, align)
+
+
+def aligned_empty(size: int, align: int = ALIGNMENT) -> memoryview:
+    """Like :func:`aligned_view`, but the content is unspecified.
+
+    For callers that overwrite every byte straight away (memory-image
+    clones and unpickling): with NumPy importable the backing is an
+    uninitialised ``numpy.empty`` array, so the copy that follows is
+    the only pass over the bytes; without it this is the zeroed
+    :func:`aligned_view`.  The result is the same kind of view either
+    way — writable, fixed-size, format ``'B'``, accepted by ctypes
+    ``from_buffer`` — and the view keeps its backing alive.
+    """
+    _check_request(size, align)
+    try:
+        import numpy
+    except ImportError:
+        return aligned_view(size, align)
+    return _aligned_slice(numpy.empty(size + align, dtype=numpy.uint8),
+                          size, align)
+
+
+def _check_request(size: int, align: int) -> None:
     if align <= 0 or align & (align - 1):
         raise ValueError(f"alignment {align} is not a positive power of two")
     if size < 0:
         raise ValueError(f"negative buffer size {size}")
-    backing = bytearray(size + align)
+
+
+def _aligned_slice(backing, size: int, align: int) -> memoryview:
+    """The ``size``-byte window of ``backing`` that starts on ``align``."""
     offset = (-address_of(backing)) % align
-    view = memoryview(backing)[offset:offset + size]
-    if fill is not None and size:
-        view[:] = bytes([fill]) * size
-    return view
+    return memoryview(backing)[offset:offset + size]
 
 
 def is_aligned(buf, align: int = ALIGNMENT) -> bool:

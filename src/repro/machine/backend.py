@@ -158,10 +158,13 @@ def get_backend(name: str = "auto") -> ExecutionBackend:
 # wrappers run the requested tier and, on *any* failure, restore the
 # pre-attempt memory image and transparently re-execute on the next
 # tier down, recording a structured degradation on the result
-# (``fallback = {tier, phase, reason, failed}``).  Errors on the last
-# tier propagate unchanged — there is nothing left to degrade to, and
-# a genuine program error (bad shift amount, unbound register) raises
-# the same exception from the oracle that the fast tier raised.
+# (``fallback = {tier, phase, reason, failed}``).  The image comes from
+# a caller-supplied ``baseline`` memory when there is one (the verify
+# path's untouched input image), else from a snapshot taken before the
+# first attempt.  Errors on the last tier propagate unchanged — there
+# is nothing left to degrade to, and a genuine program error (bad
+# shift amount, unbound register) raises the same exception from the
+# oracle that the fast tier raised.
 #
 # Hot-swap interplay: in asynchronous compile mode (REPRO_NATIVE_ASYNC,
 # repro.machine.compilequeue) the native tier never *fails* on a cold
@@ -231,12 +234,20 @@ class _ResilientChain:
             engine = self._engines[tier] = self._resolve(tier)
         return engine
 
-    def run_degrading(self, mem: Memory, attempt) -> tuple[object, dict | None]:
+    def run_degrading(
+        self, mem: Memory, attempt, baseline: Memory | None = None
+    ) -> tuple[object, dict | None]:
         """Call ``attempt(engine)`` down the chain; restore ``mem``
-        between tiers.  Returns ``(result, degradation-or-None)``."""
+        between tiers — from ``baseline`` (an image equal to ``mem``
+        before the first attempt) when given, else from a snapshot.
+        Returns ``(result, degradation-or-None)``."""
         first_exc: BaseException | None = None
         failed: list[str] = []
-        snapshot = mem.snapshot() if len(self.tiers) > 1 else None
+        snapshot = None
+        if baseline is not None:
+            snapshot = baseline.raw()
+        elif len(self.tiers) > 1:
+            snapshot = mem.snapshot()
         for pos, tier in enumerate(self.tiers):
             last = pos == len(self.tiers) - 1
             try:
@@ -287,16 +298,23 @@ class ResilientBackend:
         mem: Memory,
         bindings: RunBindings | None = None,
         trace: Trace | None = None,
+        *,
+        baseline: Memory | None = None,
     ) -> VectorRunResult:
+        """Run on the first tier that succeeds; ``baseline`` is an
+        image equal to ``mem`` before the run, restored from on
+        degradation in place of a snapshot."""
         def attempt(engine):
             return engine.run(program, space, mem, bindings, trace)
 
-        result, degradation = self._chain.run_degrading(mem, attempt)
+        result, degradation = self._chain.run_degrading(mem, attempt,
+                                                        baseline)
         if degradation is not None:
             result.fallback = degradation
         return result
 
-    def run_batch(self, runs: list) -> list:
+    def run_batch(self, runs: list, *,
+                  baselines: list[Memory] | None = None) -> list:
         """Batched execution with whole-batch degradation.
 
         The primary tier's native batch is tried first; any failure
@@ -308,6 +326,10 @@ class ResilientBackend:
         record — whether the primary tier has no batch execution at
         all (numpy/bytes heads) or its batched call failed — which
         the ``--profile`` resilience section aggregates.
+
+        ``baselines``, one per run, are images equal to the runs'
+        memories before the call; with them nothing is snapshotted and
+        every restore copies from them.
         """
         primary = self._chain.primary
         tier = self._chain.tiers[0]
@@ -319,7 +341,9 @@ class ResilientBackend:
         elif len(self._chain.tiers) == 1:
             return batch(runs)
         else:
-            snapshots = [mem.snapshot() for _, _, mem, _ in runs]
+            snapshots = ([mem.snapshot() for _, _, mem, _ in runs]
+                         if baselines is None
+                         else [base.raw() for base in baselines])
             try:
                 return batch(runs)
             except Exception as exc:
@@ -329,8 +353,11 @@ class ResilientBackend:
                     "tier": tier, "phase": "batch",
                     "reason": f"{type(exc).__name__}: {exc}",
                 }
-        results = [self.run(program, space, mem, bindings)
-                   for program, space, mem, bindings in runs]
+        results = [
+            self.run(program, space, mem, bindings,
+                     baseline=None if baselines is None else baselines[i])
+            for i, (program, space, mem, bindings) in enumerate(runs)
+        ]
         for result in results:
             result.batch_fallback = batch_fallback
         return results
@@ -357,11 +384,16 @@ class ResilientScalarBackend:
         space: ArraySpace,
         mem: Memory,
         bindings: RunBindings | None = None,
+        *,
+        baseline: Memory | None = None,
     ) -> ScalarRunResult:
+        """Run on the first tier that succeeds (``baseline`` as in
+        :meth:`ResilientBackend.run`)."""
         def attempt(engine):
             return engine.run(loop, space, mem, bindings)
 
-        result, degradation = self._chain.run_degrading(mem, attempt)
+        result, degradation = self._chain.run_degrading(mem, attempt,
+                                                        baseline)
         if degradation is not None:
             result.fallback = degradation
         return result
@@ -383,7 +415,8 @@ def get_resilient_scalar_backend(name: str = "auto") -> ScalarBackend:
     return ResilientScalarBackend(name)
 
 
-def run_vector_batch(engine: ExecutionBackend, runs: list) -> list:
+def run_vector_batch(engine: ExecutionBackend, runs: list, *,
+                     baselines: list[Memory] | None = None) -> list:
     """Run ``(program, space, mem, bindings)`` tuples as one batch.
 
     Engines with a native ``run_batch`` (the jit engine executes whole
@@ -391,8 +424,13 @@ def run_vector_batch(engine: ExecutionBackend, runs: list) -> list:
     list; every other engine degrades to per-run :meth:`run` calls with
     identical semantics, so callers can batch against any backend and
     the differential tests can compare batch results across the whole
-    registry.  Results come back in input order.
+    registry.  Results come back in input order.  ``baselines`` reach
+    a :class:`ResilientBackend` as its restore images (see
+    :meth:`ResilientBackend.run_batch`); other engines do not degrade
+    and ignore them.
     """
+    if isinstance(engine, ResilientBackend):
+        return engine.run_batch(runs, baselines=baselines)
     native = getattr(engine, "run_batch", None)
     if native is not None:
         return native(runs)

@@ -11,22 +11,19 @@ memory image sits on a 64-byte boundary.  Simulation never notices
 (addresses here are offsets), but the native tier's vector-extension
 kernels receive ``raw()`` zero-copy and promise the compiler that all
 V-truncated addresses are genuinely V-aligned — a promise that is only
-true if the base is.
+true if the base is.  Clones and unpickled memories get the same
+alignment from :func:`~repro.machine.alignedbuf.aligned_empty`.
 """
 
 from __future__ import annotations
 
 from repro.errors import MachineError
-from repro.machine.alignedbuf import aligned_view
+from repro.machine.alignedbuf import aligned_empty, aligned_view
 
 
 def _restore(size: int, data: bytes) -> "Memory":
     """Pickle constructor: rebuild an aligned memory from its bytes."""
-    mem = Memory.__new__(Memory)
-    mem._data = aligned_view(size)
-    mem._data[:] = data
-    mem.size = size
-    return mem
+    return Memory._of(size, data)
 
 
 class Memory:
@@ -86,11 +83,21 @@ class Memory:
         return bytes(self._data)
 
     def clone(self) -> "Memory":
-        copy = Memory.__new__(Memory)
-        copy._data = aligned_view(self.size)
-        copy._data[:] = self._data
-        copy.size = self.size
-        return copy
+        """An independent, equally aligned copy of this memory.
+
+        One pass over the bytes: the copy lands in uninitialised
+        aligned storage (:func:`~repro.machine.alignedbuf.aligned_empty`)
+        instead of a zero-filled buffer that is then overwritten.
+        """
+        return Memory._of(self.size, self._data)
+
+    @classmethod
+    def _of(cls, size: int, data) -> "Memory":
+        mem = cls.__new__(cls)
+        mem._data = aligned_empty(size)
+        mem._data[:] = data
+        mem.size = size
+        return mem
 
     def __reduce__(self):
         # memoryviews don't pickle; rebuild the aligned backing on load

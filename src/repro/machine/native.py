@@ -91,8 +91,6 @@ from pathlib import Path
 
 from repro.cache import get_cache
 from repro.errors import CodegenError, MachineError
-from repro.export.cgen import CEmitter
-from repro.export.portable import PortableBackend, kernel_unit_prelude
 from repro.ir.types import DataType
 from repro.faults import fault as _fault
 from repro.machine import compilequeue, interp, jit, npbackend
@@ -695,6 +693,9 @@ def emit_native_source(program: VProgram,
     isolation.  Raises :class:`_CantEmit` when the steady sequence
     itself cannot be lowered.
     """
+    from repro.export.cgen import CEmitter
+    from repro.export.portable import PortableBackend
+
     backend = PortableBackend()
     kernel_src, meta = emit_kernel(program, spec)
     try:
@@ -715,6 +716,8 @@ def build_request(signature: str, key: str, jk: jit._Kernel,
     """A :class:`~repro.machine.compilequeue.CompileRequest` for this
     program, or None when the steady sequence cannot be lowered (the
     caller caches a permanent jit-delegating kernel instead)."""
+    from repro.export.portable import kernel_unit_prelude
+
     try:
         kernel_src, meta = emit_kernel(program, jk.spec)
     except _CantEmit:

@@ -1,36 +1,20 @@
 """Data reorganization graphs and stream-shift placement policies."""
 
-from repro.reorg.build import build_expr, build_loop_graph, build_statement
-from repro.reorg.graph import (
-    LoopGraph,
-    RIota,
-    RLoad,
-    RNode,
-    ROp,
-    RShiftStream,
-    RSplat,
-    RStore,
-    StatementGraph,
-)
-from repro.reorg.policies import (
-    POLICY_NAMES,
-    apply_policy,
-    default_policy,
-    dominant_offset,
-    dominant_shift,
-    eager_shift,
-    lazy_shift,
-    zero_shift,
-    zero_shift_expr,
-)
-from repro.reorg.reassoc import reassociate
-from repro.reorg.validate import is_valid, validate_graph, validate_statement
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "build_expr", "build_loop_graph", "build_statement",
-    "LoopGraph", "RIota", "RLoad", "RNode", "ROp", "RShiftStream", "RSplat", "RStore",
-    "StatementGraph",
-    "POLICY_NAMES", "apply_policy", "default_policy", "dominant_offset",
-    "dominant_shift", "eager_shift", "lazy_shift", "zero_shift", "zero_shift_expr",
-    "reassociate", "is_valid", "validate_graph", "validate_statement",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.reorg.build": ("build_expr", "build_loop_graph", "build_statement"),
+    "repro.reorg.graph": (
+        "LoopGraph", "RIota", "RLoad", "RNode", "ROp", "RShiftStream",
+        "RSplat", "RStore", "StatementGraph",
+    ),
+    "repro.reorg.policies": (
+        "POLICY_NAMES", "apply_policy", "default_policy", "dominant_offset",
+        "dominant_shift", "eager_shift", "lazy_shift", "zero_shift",
+        "zero_shift_expr",
+    ),
+    "repro.reorg.reassoc": ("reassociate",),
+    "repro.reorg.validate": (
+        "is_valid", "validate_graph", "validate_statement",
+    ),
+})

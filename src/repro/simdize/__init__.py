@@ -1,17 +1,12 @@
 """End-to-end simdization: driver, options, verification."""
 
-from repro.simdize.driver import SimdizeResult, simdize
-from repro.simdize.options import REUSE_MODES, SimdOptions, scheme_name
-from repro.simdize.verify import (
-    EquivalenceReport,
-    fill_random,
-    make_space,
-    verify_equivalence,
-    verify_equivalence_batch,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SimdizeResult", "simdize", "REUSE_MODES", "SimdOptions", "scheme_name",
-    "EquivalenceReport", "fill_random", "make_space", "verify_equivalence",
-    "verify_equivalence_batch",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.simdize.driver": ("SimdizeResult", "simdize"),
+    "repro.simdize.options": ("REUSE_MODES", "SimdOptions", "scheme_name"),
+    "repro.simdize.verify": (
+        "EquivalenceReport", "fill_random", "make_space", "verify_equivalence",
+        "verify_equivalence_batch",
+    ),
+})

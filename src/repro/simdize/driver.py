@@ -15,19 +15,15 @@ Mirrors the paper's two-phase structure:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from repro.codegen.loopgen import GenOptions, generate_program
-from repro.codegen.passes import run_passes
-from repro.codegen.reduction import generate_reduction_program
 from repro.errors import PolicyError
 from repro.ir.expr import Loop
-from repro.reorg.build import build_loop_graph
-from repro.reorg.graph import LoopGraph
-from repro.reorg.policies import apply_policy, default_policy
-from repro.reorg.reassoc import reassociate
-from repro.reorg.validate import validate_graph
 from repro.simdize.options import SimdOptions
 from repro.vir.program import VProgram
+
+if TYPE_CHECKING:
+    from repro.reorg.graph import LoopGraph
 
 
 @dataclass
@@ -57,6 +53,15 @@ class SimdizeResult:
 
 def simdize(loop: Loop, V: int = 16, options: SimdOptions | None = None) -> SimdizeResult:
     """Simdize ``loop`` for a ``V``-byte machine with alignment constraints."""
+    # The builders load on first use: a sweep served from the simdize
+    # cache never runs them.
+    from repro.codegen.loopgen import GenOptions, generate_program
+    from repro.codegen.passes import run_passes
+    from repro.reorg.build import build_loop_graph
+    from repro.reorg.policies import apply_policy, default_policy
+    from repro.reorg.reassoc import reassociate
+    from repro.reorg.validate import validate_graph
+
     options = options or SimdOptions()
     if loop.has_reductions:
         return _simdize_reduction(loop, V, options)
@@ -92,11 +97,14 @@ def _simdize_reduction(loop: Loop, V: int, options: SimdOptions) -> SimdizeResul
     with the zero-shift rule against a virtual vector-aligned store —
     which also keeps the scheme valid under runtime alignments.
     """
+    from repro.codegen.passes import run_passes
+    from repro.codegen.reduction import generate_reduction_program
     from repro.ir.expr import ArrayDecl, Ref
     from repro.reorg.build import build_expr
-    from repro.reorg.graph import RStore, StatementGraph
+    from repro.reorg.graph import LoopGraph, RStore, StatementGraph
     from repro.reorg.policies import zero_shift_expr
     from repro.reorg.reassoc import reassociate
+    from repro.reorg.validate import validate_graph
 
     if options.policy not in ("auto", "zero"):
         raise PolicyError(

@@ -7,6 +7,12 @@ scalar loop and the vector program on two identical memories and
 require the *entire* memory images to match byte-for-byte — which
 checks both that every stream byte got its correct value and that
 nothing outside the streams (guard zones included) was clobbered.
+
+At long trips those images are megabytes, so building, comparing and
+restoring them is kept to about one pass over the bytes each: the fill
+draws its random stream vectorized (:func:`fill_random`), the compare
+runs in place on the two live images, and a degrading engine restores
+from the untouched input image instead of a snapshot it took first.
 """
 
 from __future__ import annotations
@@ -19,6 +25,8 @@ from repro.ir.expr import Loop
 from repro.machine.arrays import ArraySpace
 from repro.machine.backend import (
     ExecutionBackend,
+    ResilientBackend,
+    ResilientScalarBackend,
     ScalarBackend,
     get_resilient_backend,
     get_resilient_scalar_backend,
@@ -93,6 +101,18 @@ def make_space(
     return space
 
 
+#: Array bytes per fill from which :func:`fill_random` draws through
+#: NumPy.  Moving ``rng``'s state into and out of NumPy costs a fixed
+#: ~0.25 ms, about what ``randbytes`` spends on 50-100 KiB, so smaller
+#: fills (every default-trip figure, serve requests) stay on
+#: ``randbytes`` and never import ``numpy.random``.
+FAST_FILL_FLOOR = 256 * 1024
+
+#: Outcome of the once-per-process check that NumPy's MT19937 stream
+#: reproduces ``randbytes`` (None until the first large fill asks).
+_numpy_stream_ok: bool | None = None
+
+
 def fill_random(space: ArraySpace, mem: Memory, rng: random.Random) -> None:
     """Give every array random in-range element values.
 
@@ -101,9 +121,115 @@ def fill_random(space: ArraySpace, mem: Memory, rng: random.Random) -> None:
     in-range two's-complement value.  Deterministic for a given ``rng``
     state (but a different stream than the historical per-element
     ``randint`` loop, so seeds pin different — equally random — data).
+
+    Each array gets exactly the bytes ``rng.randbytes(arr.size_bytes)``
+    would give, in placement order, and ``rng`` is left in the state
+    those calls would leave it in.  From :data:`FAST_FILL_FLOOR` array
+    bytes on, with NumPy importable, the same Mersenne Twister stream
+    is drawn vectorized instead: ``rng``'s state is loaded into a
+    ``numpy.random.MT19937``, 32-bit words are drawn straight into the
+    memory image, and the advanced state is set back into ``rng``.
+    That equivalence rests on a NumPy implementation detail, so the
+    first large fill of a process checks it on a small draw against
+    ``randbytes``; on any mismatch every fill stays on ``randbytes``.
+    No generator outlives a call, so fills on several threads share
+    nothing mutable.
     """
-    for arr in space.arrays():
+    arrays = space.arrays()
+    if (sum(arr.size_bytes for arr in arrays) >= FAST_FILL_FLOOR
+            and type(rng) is random.Random
+            and _fill_vectorized(arrays, mem, rng)):
+        return
+    for arr in arrays:
         mem.write(arr.base, rng.randbytes(arr.size_bytes))
+
+
+def _fill_vectorized(arrays: list, mem: Memory, rng: random.Random) -> bool:
+    """:func:`fill_random` through NumPy; False (nothing drawn) when
+    NumPy is missing or fails the stream check."""
+    try:
+        import numpy as np
+    except ImportError:
+        return False
+    if not _numpy_stream_matches():
+        return False
+    for arr in arrays:
+        mem._check(arr.base, arr.size_bytes)
+    image = np.frombuffer(mem.raw(), dtype=np.uint8)
+    _draw_stream(rng, [image[arr.base:arr.base + arr.size_bytes]
+                       for arr in arrays])
+    return True
+
+
+def _draw_stream(rng: random.Random, targets: list) -> None:
+    """Fill each ``uint8`` array in ``targets``, in order, with the
+    bytes ``rng.randbytes(len(target))`` would give, and advance
+    ``rng`` exactly as those calls would.
+
+    ``randbytes(n)`` is ``getrandbits(8 * n)`` in little-endian order:
+    ``n // 4`` whole 32-bit outputs, then for a partial last word the
+    top ``8 * (n % 4)`` bits of one more output.
+    """
+    import numpy as np
+
+    version, internal, gauss_next = rng.getstate()
+    bitgen = np.random.MT19937()
+    bitgen.state = {
+        "bit_generator": "MT19937",
+        "state": {"key": np.array(internal[:-1], dtype=np.uint32),
+                  "pos": internal[-1]},
+    }
+    generator = np.random.Generator(bitgen)
+    for target in targets:
+        whole, rem = divmod(len(target), 4)
+        words = _draw_words(generator, whole + (rem > 0))
+        target[:4 * whole] = (words[:whole].astype("<u4", copy=False)
+                              .view(np.uint8))
+        if rem:
+            tail = int(words[whole]) >> (32 - 8 * rem)
+            target[4 * whole:] = list(tail.to_bytes(rem, "little"))
+    state = bitgen.state["state"]
+    rng.setstate((version,
+                  tuple(state["key"].tolist()) + (int(state["pos"]),),
+                  gauss_next))
+
+
+def _draw_words(generator, count: int):
+    """``count`` raw 32-bit outputs of ``generator``'s MT19937.
+
+    A full-range ``uint32`` draw is the bit generator's own output
+    word, unmasked and unrejected.
+    """
+    import numpy as np
+
+    return generator.integers(0, 1 << 32, size=count, dtype=np.uint32)
+
+
+def _numpy_stream_matches() -> bool:
+    """True when NumPy's MT19937 draw reproduces ``randbytes``
+    (checked once per process, see :func:`fill_random`)."""
+    global _numpy_stream_ok
+    if _numpy_stream_ok is None:
+        _numpy_stream_ok = _check_numpy_stream()
+    return _numpy_stream_ok
+
+
+def _check_numpy_stream() -> bool:
+    import numpy as np
+
+    # Start near the end of a 624-word block so the probe crosses a
+    # twist, and end on a partial word.
+    probe = random.Random(0x5EED)
+    probe.getrandbits(32 * 620)
+    expect = random.Random()
+    expect.setstate(probe.getstate())
+    want = expect.randbytes(4099)
+    got = np.zeros(len(want), dtype=np.uint8)
+    try:
+        _draw_stream(probe, [got])
+    except Exception:  # noqa: BLE001 - any failure means "not the same stream"
+        return False
+    return got.tobytes() == want and probe.getstate() == expect.getstate()
 
 
 def verify_equivalence(
@@ -127,6 +253,12 @@ def verify_equivalence(
     into the ``execute`` phase — minus any jit kernel-compilation time,
     which is re-attributed to ``compile`` along with the kernel cache
     hit/miss counters — and the byte comparison into ``verify``.
+
+    ``mem`` itself is never written: both executions run on clones, so
+    it stays the pristine input image.  Resilient engines get it as
+    their ``baseline`` and, if a tier fails, restore the clone from it
+    instead of snapshotting every image before every run.  The two
+    final images are compared in place (see :func:`_images_equal`).
     """
     bindings = bindings or RunBindings()
     loop = program.source
@@ -143,14 +275,16 @@ def verify_equivalence(
     vector_mem = mem.clone()
     before = jit_compile_stats() if profile is not None else {}
     with timed(profile, "execute"):
-        scalar_result = scalar_engine.run(loop, space, scalar_mem, bindings)
-        vector_result = engine.run(program, space, vector_mem, bindings)
+        scalar_result = scalar_engine.run(loop, space, scalar_mem, bindings,
+                                          **_baseline(scalar_engine, mem))
+        vector_result = engine.run(program, space, vector_mem, bindings,
+                                   **_baseline(engine, mem))
     if profile is not None:
         _attribute_jit_compile(profile, before, jit_compile_stats())
         _count_degradations(profile, vector_result, scalar_result)
 
     with timed(profile, "verify"):
-        matched = scalar_mem.snapshot() == vector_mem.snapshot()
+        matched = _images_equal(scalar_mem, vector_mem)
     if not matched:
         detail = _first_mismatch(scalar_mem, vector_mem, space)
         raise VerificationError(
@@ -185,6 +319,8 @@ def verify_equivalence_batch(
     compared independently, so a single diverging config raises with
     the same diagnostics :func:`verify_equivalence` gives it.  Reports
     come back in input order, field-identical to per-config calls.
+    As there, the input memories stay untouched and are the restore
+    source of a degrading engine.
     """
     engine = (
         get_resilient_backend(backend) if isinstance(backend, str) else backend
@@ -200,15 +336,16 @@ def verify_equivalence_batch(
     with timed(profile, "execute"):
         scalar_results = [
             scalar_engine.run(program.source, space, smem,
-                              bindings or RunBindings())
-            for (program, space, _, bindings), smem
+                              bindings or RunBindings(),
+                              **_baseline(scalar_engine, mem))
+            for (program, space, mem, bindings), smem
             in zip(items, scalar_mems)
         ]
         vector_results = run_vector_batch(engine, [
             (program, space, vmem, bindings or RunBindings())
             for (program, space, _, bindings), vmem
             in zip(items, vector_mems)
-        ])
+        ], baselines=[mem for _, _, mem, _ in items])
     if profile is not None:
         _attribute_jit_compile(profile, before, jit_compile_stats())
         for scalar_result, vector_result in zip(scalar_results,
@@ -220,7 +357,7 @@ def verify_equivalence_batch(
             in zip(items, scalar_mems, vector_mems,
                    scalar_results, vector_results):
         with timed(profile, "verify"):
-            matched = smem.snapshot() == vmem.snapshot()
+            matched = _images_equal(smem, vmem)
         if not matched:
             detail = _first_mismatch(smem, vmem, space)
             raise VerificationError(
@@ -238,6 +375,18 @@ def verify_equivalence_batch(
             batch_fallback=getattr(vector_result, "batch_fallback", None),
         ))
     return reports
+
+
+def _baseline(engine, mem: Memory) -> dict:
+    """``run`` keywords handing a resilient engine its restore image."""
+    if isinstance(engine, (ResilientBackend, ResilientScalarBackend)):
+        return {"baseline": mem}
+    return {}
+
+
+def _images_equal(a: Memory, b: Memory) -> bool:
+    """Byte-compare two live memory images in place (no snapshots)."""
+    return a.size == b.size and _first_difference(a.raw(), b.raw()) is None
 
 
 def _count_degradations(
@@ -304,17 +453,48 @@ _PHASE_FOR = {
 
 
 def _first_mismatch(a: Memory, b: Memory, space: ArraySpace) -> str:
-    sa, sb = a.snapshot(), b.snapshot()
-    for addr in range(len(sa)):
-        if sa[addr] != sb[addr]:
-            where = "outside any array"
-            for arr in space.arrays():
-                if arr.base <= addr < arr.base + arr.size_bytes:
-                    idx = (addr - arr.base) // arr.decl.dtype.size
-                    where = f"array {arr.name!r} element {idx}"
-                    break
-            return (
-                f"first differing byte at address {addr} ({where}): "
-                f"scalar={sa[addr]:#x} simdized={sb[addr]:#x}"
-            )
-    return "memories equal?"  # pragma: no cover - only called on mismatch
+    sa, sb = a.raw(), b.raw()
+    addr = _first_difference(sa, sb)
+    if addr is None:
+        return "memories equal?"  # pragma: no cover - only called on mismatch
+    where = "outside any array"
+    for arr in space.arrays():
+        if arr.base <= addr < arr.base + arr.size_bytes:
+            idx = (addr - arr.base) // arr.decl.dtype.size
+            where = f"array {arr.name!r} element {idx}"
+            break
+    return (
+        f"first differing byte at address {addr} ({where}): "
+        f"scalar={sa[addr]:#x} simdized={sb[addr]:#x}"
+    )
+
+
+#: Bytes per slice of an image compare: big enough to amortize the
+#: per-slice calls, small enough that the temporaries stay in cache
+#: instead of growing with the image.
+_COMPARE_CHUNK = 1 << 20
+
+
+def _first_difference(sa: memoryview, sb: memoryview) -> int | None:
+    """The lowest address at which two equal-length images differ.
+
+    Compares a slice at a time: with NumPy over in-place views, without
+    it as ``bytes`` (a ``memcmp``), then walks only the differing slice.
+    """
+    try:
+        import numpy as np
+    except ImportError:
+        np = None
+    for start in range(0, len(sa), _COMPARE_CHUNK):
+        ca = sa[start:start + _COMPARE_CHUNK]
+        cb = sb[start:start + _COMPARE_CHUNK]
+        if np is None:
+            if bytes(ca) != bytes(cb):
+                return start + next(i for i in range(len(ca))
+                                    if ca[i] != cb[i])
+            continue
+        va = np.frombuffer(ca, dtype=np.uint8)
+        vb = np.frombuffer(cb, dtype=np.uint8)
+        if not np.array_equal(va, vb):
+            return start + int((va != vb).argmax())
+    return None

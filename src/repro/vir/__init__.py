@@ -1,40 +1,15 @@
 """Vector IR: the simdizer's output language."""
 
-from repro.vir.printer import format_program
-from repro.vir.program import SteadyLoop, VProgram
-from repro.vir.vexpr import (
-    Addr,
-    SBase,
-    SBin,
-    SConst,
-    SExpr,
-    SReg,
-    SVar,
-    VBinE,
-    VExpr,
-    VIotaE,
-    VLoadE,
-    VRegE,
-    VShiftPairE,
-    VSpliceE,
-    VSplatE,
-    as_sexpr,
-    displace,
-    is_pure,
-    s_add,
-    s_and,
-    s_div,
-    s_mod,
-    s_mul,
-    s_sub,
-    walk,
-)
-from repro.vir.vstmt import Section, SetS, SetV, VStmt, VStoreS
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "format_program", "SteadyLoop", "VProgram", "Addr", "SBase", "SBin",
-    "SConst", "SExpr", "SReg", "SVar", "VBinE", "VExpr", "VIotaE", "VLoadE", "VRegE",
-    "VShiftPairE", "VSpliceE", "VSplatE", "as_sexpr", "displace", "is_pure",
-    "s_add", "s_and", "s_div", "s_mod", "s_mul", "s_sub", "walk",
-    "Section", "SetS", "SetV", "VStmt", "VStoreS",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.vir.printer": ("format_program",),
+    "repro.vir.program": ("SteadyLoop", "VProgram"),
+    "repro.vir.vexpr": (
+        "Addr", "SBase", "SBin", "SConst", "SExpr", "SReg", "SVar", "VBinE",
+        "VExpr", "VIotaE", "VLoadE", "VRegE", "VShiftPairE", "VSpliceE",
+        "VSplatE", "as_sexpr", "displace", "is_pure", "s_add", "s_and",
+        "s_div", "s_mod", "s_mul", "s_sub", "walk",
+    ),
+    "repro.vir.vstmt": ("Section", "SetS", "SetV", "VStmt", "VStoreS"),
+})
