@@ -503,8 +503,8 @@ def test_backend_speed():
     batch_speedup = batch_periter_s / batch_serial_s
     batch_jobs_speedup = batch_periter_jobs_s / batch_jobs_s
 
-    # Batched-class native execution: the C batch driver runs a whole
-    # signature class behind one ctypes crossing.  Two views: the
+    # Batched-class native execution: every config of a signature
+    # class runs as one whole-run C call on its own memory.  Two views: the
     # engine-level run_batch comparison on the fig11 signature classes
     # at a steady-dominated trip (this carries the 1.5x acceptance
     # bar), and the honest end-to-end sweep split, serial and at
@@ -549,19 +549,6 @@ def test_backend_speed():
                 best = min(best, time.perf_counter() - start)
             return best
 
-        def _time_per_run(name: str) -> float:
-            engine = get_backend(name)
-            best = float("inf")
-            for _ in range(ROUNDS):
-                groups = [[(p, s, m.clone(), b) for p, s, m, b in group]
-                          for group in nb_classes.values()]
-                start = time.perf_counter()
-                for group in groups:
-                    for p, s, m, b in group:
-                        engine.run(p, s, m, b)
-                best = min(best, time.perf_counter() - start)
-            return best
-
         with tempfile.TemporaryDirectory() as cache_root:
             set_cache_dir(cache_root)
             try:
@@ -571,7 +558,6 @@ def test_backend_speed():
                     _time_run_batch(name)
                 nb_jit_s = _time_run_batch("jit")
                 nb_native_s = _time_run_batch("native")
-                nb_periter_s = _time_per_run("native")
                 # End-to-end sweep split at the same worker counts as
                 # sweep_batched, on equal warm cache state.
                 nbe_jit_s = _time_sweep(batch_configs, jobs=1,
@@ -590,20 +576,17 @@ def test_backend_speed():
                                                 sweep_mode="batched",
                                                 rounds=ROUNDS)
                 # Driver coverage on the fig11 sweep itself: every
-                # signature class should execute through the C batch
-                # driver (multi-config classes) or the whole-run
-                # driver (singletons), not the jit fallback.
+                # config should execute as one whole-run C call, not
+                # the jit fallback or the classic per-piece path.
                 nb_profile = PhaseProfile()
                 nb_native_meas = measure_many(batch_configs, jobs=1,
                                               backend="native",
                                               sweep_mode="batched",
                                               profile=nb_profile)
-                nb_class_count = nb_profile.counts.get("batch_classes", 0)
-                nb_driver_classes = (
-                    nb_profile.counts.get("native_batch_calls", 0)
-                    + nb_profile.counts.get("native_whole_runs", 0))
+                nb_config_count = nb_profile.counts.get("batch_configs", 0)
+                nb_whole_runs = nb_profile.counts.get("native_whole_runs", 0)
                 # Byte-identical measurements across tiers: the native
-                # batch drivers must reproduce the jit-batched sweep
+                # whole-run calls must reproduce the jit-batched sweep
                 # exactly.
                 assert nb_native_meas == measure_many(
                     batch_configs, jobs=1, backend="jit",
@@ -613,8 +596,8 @@ def test_backend_speed():
                 jit.clear_memory_cache()
                 native_mod.clear_memory_cache()
         native_batch_speedup = nb_jit_s / nb_native_s
-        driver_coverage = (nb_driver_classes / nb_class_count
-                           if nb_class_count else 0.0)
+        driver_coverage = (nb_whole_runs / nb_config_count
+                           if nb_config_count else 0.0)
         native_batch_section = {
             "configs": len(nb_configs),
             "signature_classes": len(nb_classes),
@@ -622,10 +605,7 @@ def test_backend_speed():
             "jit_batch_s": round(nb_jit_s, 4),
             "native_batch_s": round(nb_native_s, 4),
             "speedup_vs_jit_batch": round(native_batch_speedup, 2),
-            "native_periter_s": round(nb_periter_s, 4),
-            "speedup_vs_native_periter": round(nb_periter_s / nb_native_s,
-                                               2),
-            "driver_class_coverage": round(driver_coverage, 3),
+            "whole_run_config_coverage": round(driver_coverage, 3),
             "sweep_trip": SWEEP_TRIP,
             "sweep_jit_serial_s": round(nbe_jit_s, 4),
             "sweep_native_serial_s": round(nbe_native_s, 4),
@@ -967,20 +947,18 @@ def test_backend_speed():
     ]
     if "skipped" in native_batch_section:
         lines.append(
-            f"native batch driver: skipped "
+            f"native run_batch: skipped "
             f"({native_batch_section['skipped']})")
     else:
         nb = native_batch_section
         lines += [
-            f"native batch driver over {nb['configs']} configs "
+            f"native run_batch over {nb['configs']} configs "
             f"({nb['signature_classes']} classes, trip {SPEED_TRIP}, "
             f"best of {ROUNDS}):",
             f"  run_batch   jit {nb_jit_s:8.4f} s  native "
             f"{nb_native_s:8.4f} s   ({native_batch_speedup:.1f}x)",
-            f"  per-config native {nb_periter_s:8.4f} s   "
-            f"({nb['speedup_vs_native_periter']:.1f}x batched win)",
-            f"  driver class coverage {nb_driver_classes}/{nb_class_count} "
-            f"({driver_coverage * 100:.0f}%)",
+            f"  whole-run coverage {nb_whole_runs}/{nb_config_count} "
+            f"configs ({driver_coverage * 100:.0f}%)",
             f"  end-to-end sweep jobs=1: jit {nbe_jit_s:8.4f} s  native "
             f"{nbe_native_s:8.4f} s   ({nb['sweep_serial_speedup']:.2f}x)",
             f"  end-to-end sweep jobs={jobs_n}: jit {nbe_jit_jobs_s:7.4f} s  "
@@ -1071,18 +1049,18 @@ def test_backend_speed():
         f"batched sweep at {jobs_n} jobs only {batch_jobs_speedup:.2f}x "
         f"over per-config at {jobs_n} jobs")
     if "skipped" not in native_batch_section:
-        # The C batch driver against config-batched jit at the engine
-        # level, where the per-class ctypes-crossing collapse is not
-        # diluted by mode-invariant sweep costs (measured ~2.7x; the
-        # end-to-end split above is recorded honestly but unasserted).
-        # Nearly every fig11 signature class must actually go through
-        # the C driver — batch or whole-run — not the jit fallback.
+        # Per-config whole-run C calls against config-batched jit at
+        # the engine level, where the gap is not diluted by
+        # mode-invariant sweep costs (the end-to-end split above is
+        # recorded honestly but unasserted).  Nearly every fig11 sweep
+        # config must actually run as one whole-run C call, not the
+        # jit fallback or the classic per-piece path.
         assert native_batch_speedup >= 1.5, (
             f"native run_batch only {native_batch_speedup:.2f}x over "
             f"jit run_batch")
         assert driver_coverage >= 0.9, (
-            f"C driver covered only {nb_driver_classes}/{nb_class_count} "
-            f"signature classes")
+            f"whole-run driver covered only {nb_whole_runs}/"
+            f"{nb_config_count} configs")
     if "skipped" not in native_simd_section:
         # The vector-extension emitter against the scalar-lane one on
         # identical pre-marshalled steady calls (measured ~3-4x here;

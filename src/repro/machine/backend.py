@@ -446,10 +446,9 @@ def jit_compile_stats() -> dict:
     interpreter must not be forced to import it.  The jit engine's
     counters appear under their own names; the native engine's are
     folded in under a ``native_`` prefix (``native_cc_s``,
-    ``native_memory_hits``, and since v4 the emitter-mode/probe and
-    batch-attribution counters ``native_mode_simd``,
-    ``native_simd_probes``, ``native_batch_marshal_us``, …) so one
-    snapshot covers both tiers.
+    ``native_memory_hits``, the emitter-mode/probe counters
+    ``native_mode_simd``, ``native_simd_probes``, …) so one snapshot
+    covers both tiers.
     """
     import sys
 

@@ -462,11 +462,11 @@ def precompile(programs, profile=None) -> int:
                     native._FAILED[req.key] = failures.get(
                         req.signature, "batched native compile failed")
                     continue
-                (cfn, rfn, bcfn), meta = pair
+                (cfn, rfn), meta = pair
                 native._cache_put(
                     req.signature,
                     native._NativeKernel(jk=req.jk, meta=meta, cfn=cfn,
-                                         rfn=rfn, bcfn=bcfn))
+                                         rfn=rfn))
                 compiled += 1
             native.STATS["precompiled"] += compiled
     except FaultInjected:
@@ -638,13 +638,12 @@ class _CompileQueue:
                 if kernel is not None:
                     kernel.pending = False
                 continue
-            (cfn, rfn, bcfn), meta = pair
+            (cfn, rfn), meta = pair
             if kernel is not None:
                 kernel.meta = meta
                 kernel.plan = None
                 kernel.pending = False
                 kernel.rfn = rfn
-                kernel.bcfn = bcfn
                 kernel.cfn = cfn  # published last: readers key off cfn
                 native.STATS["hot_swaps"] += 1
 

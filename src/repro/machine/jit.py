@@ -1556,8 +1556,8 @@ class JitBackend:
         """Sections + steady + results for the guarded (live) envs.
 
         The batch twin of :meth:`_finish_env`: the native backend
-        overrides it to marshal every accepted env into one C batch
-        driver call, delegating declined envs back here.
+        overrides it to run each accepted env as one whole-run C call,
+        delegating pending and declined kernels back here.
         """
         for _, env in live:
             if kernel.pre is not None:

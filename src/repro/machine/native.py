@@ -12,13 +12,12 @@ the shared object via :mod:`ctypes`, and invokes it on the run's
 existing byte buffers with zero-copy pointer passing.
 
 Division of labour — native is the jit engine with the hot path
-swapped out.  Since the v3 ABI the translation unit carries three
-entry points per signature: the steady kernel, a whole-run driver
+swapped out.  The translation unit carries two entry points per
+signature: the steady kernel and a whole-run driver
 ``simdal_run_<digest>`` (prologue/epilogue vector sections lowered as
-flag-gated blocks fed by a per-run slot table), and a class driver
-``simdal_steady_batch_<digest>`` whose row loop lives inside C — so an
-accepted run is **one** ctypes crossing and a batched signature class
-is one crossing total.  The split that keeps figures exact:
+flag-gated blocks fed by a per-run slot table), so an accepted run is
+**one** ctypes crossing on its own memory image, batched or not.  The
+split that keeps figures exact:
 
 * everything value-dependent — scalar registers, section conditions
   and addressing, guard fallback, trip resolution, and all counter
@@ -125,14 +124,16 @@ from repro.vir.vstmt import SetS, SetV, VStoreS
 #: written by older code must never load.  v2: per-signature
 #: ``simdal_steady_<digest>`` symbols (batched translation units).
 #: v3: whole-run ``simdal_run_<digest>`` (lowered prologue/epilogue
-#: sections) and the class batch driver ``simdal_steady_batch_<digest>``.
+#: sections) and a class batch driver.
 #: v4: two emitter modes (scalar-lane / vector-extension), ``restrict``
 #: parameters, aligned ``_a`` loads/stores backed by the aligned-buffer
 #: marshalling, and batch-row segments padded to the buffer alignment.
 #: v5: entries drop the translation-unit source and name a shared,
 #: content-addressed ``.so`` group (:func:`tu_key`) instead of carrying
 #: their own copy.
-NATIVE_CODE_VERSION = 5
+#: v6: the class batch driver is gone; a unit exports the steady kernel
+#: and the whole-run driver only.
+NATIVE_CODE_VERSION = 6
 
 #: Compile/cache counters (process-wide; surfaced with a ``native_``
 #: prefix by :func:`repro.machine.backend.jit_compile_stats`).
@@ -158,8 +159,6 @@ STATS = {
     "async_cc_s": 0.0,     # background compiler seconds (overlap run time)
     "async_load_s": 0.0,   # background .so load seconds
     "whole_runs": 0,       # accepted runs executed as one C call end-to-end
-    "batch_calls": 0,      # class batch-driver invocations (one per class)
-    "batch_rows": 0,       # runs carried by those batch-driver calls
     "simd_kernels": 0,     # kernels emitted for the vector-ext prelude
     "scalar_kernels": 0,   # kernels emitted for the scalar-lane prelude
     "simd_probes": 0,      # vector-extension capability probes compiled
@@ -167,9 +166,6 @@ STATS = {
     "flag_probes": 0,      # -march=native flag probes compiled
     "mode_simd": 0,        # cold acquisitions keyed in vector-ext mode
     "mode_scalar": 0,      # cold acquisitions keyed in scalar-lane mode
-    "batch_marshal_us": 0,  # µs marshalling rows for batch/run drivers
-    "batch_copy_us": 0,    # µs in the flat gather/scatter memory copies
-    "batch_c_us": 0,       # µs inside the C batch driver itself
 }
 
 #: Prefix of every steady-loop kernel symbol; the per-signature name
@@ -196,11 +192,6 @@ def kernel_symbol(signature: str) -> str:
 def run_symbol(signature: str) -> str:
     """The whole-run driver symbol: sections + guarded steady call."""
     return f"simdal_run_{_sig_digest(signature)}"
-
-
-def batch_symbol(signature: str) -> str:
-    """The class batch-driver symbol: the row loop over whole runs."""
-    return f"simdal_steady_batch_{_sig_digest(signature)}"
 
 
 class NativeUnavailable(MachineError):
@@ -244,7 +235,7 @@ class _CantEmit(Exception):
 # and reductions need no special lowering, and every run accepted by
 # _window_bases produces the same bytes the batched jit kernel does.
 #
-# Since NATIVE_CODE_VERSION 3 every kernel ships two more functions in
+# Since NATIVE_CODE_VERSION 3 every kernel ships one more function in
 # the same translation unit:
 #
 #   void simdal_run(uint8_t *mem, int64_t lb, int64_t n,
@@ -261,18 +252,11 @@ class _CantEmit(Exception):
 # shift/splice amounts — in the emitter's traversal order.  Everything
 # value-dependent (scalar registers, conditions, addressing, bounds
 # checks) is resolved at marshal time on a shadow env, so the C side
-# is pure straight-line vector code over mem/vregs.  And:
-#
-#   void simdal_steady_batch(uint8_t *mem, int64_t rows,
-#                            const int64_t *lbn, const int64_t *wb,
-#                            const int64_t *scal, const uint8_t *cvec,
-#                            uint8_t *vregs, const int64_t *sect)
-#
-# the class batch driver: ``mem`` is the flat concatenation of every
-# run's memory image and ``lbn`` holds (mem offset, lb, n) per row;
-# the row loop lives inside C and calls simdal_run once per row with
-# that row's slice of the wb/scal/cvec/vregs/sect tables (compile-time
-# row strides), so a whole signature class costs ONE ctypes crossing.
+# is pure straight-line vector code over mem/vregs.  A batched
+# signature class makes one such call per config, each on that
+# config's own memory image: no class-level driver exists, because
+# copying every config's memory into one flat buffer and back costs
+# more than the ctypes crossings it saves.
 
 @dataclass
 class _NativeMeta:
@@ -289,7 +273,6 @@ class _NativeMeta:
     splats: tuple = ()       # (operand SExpr, dtype) per cvec block
     bad_amounts: tuple = ()  # (what, value) compile-time out-of-range
     run_symbol: str = ""     # simdal_run_<digest> (whole-run driver)
-    batch_symbol: str = ""   # simdal_steady_batch_<digest> (row loop)
     sections_c: bool = False  # prologue/epilogue lowered into simdal_run
     sect_len: int = 0        # per-run sect[] table length
     sect_spans: tuple = ()   # (base, count) per section, prologue first
@@ -303,7 +286,6 @@ class _NativeKernel:
     meta: _NativeMeta | None
     cfn: object | None       # ctypes steady fn, or None to delegate to jit
     rfn: object = None       # ctypes whole-run driver (simdal_run)
-    bcfn: object = None      # ctypes class batch driver (simdal_steady_batch)
     plan: object = None      # lazy per-process _InvokePlan (never pickled)
     pending: bool = False    # queued on the async pipeline (cfn arrives
     #                          via hot-swap; delegates to jit meanwhile)
@@ -344,14 +326,14 @@ class _KernelEmitter:
         self.assign_pos: dict[str, int] = {}
         self._sect_cursor = 0
         # Alignment suffixes for load/store helpers.  Buffer bases
-        # (mem, vregs, cvec, batch-row segments) come from the aligned
-        # allocator, and every emitted offset — window/section bases
-        # (V-truncated) and vregs/cvec slots (k*V) — is a multiple of
-        # V, so slot accesses (_av) are V-aligned whenever V divides
-        # the allocator's ALIGNMENT; window accesses (_aw) additionally
-        # need the iteration stride to preserve the residue.  Both hold
-        # for every current configuration; the guards keep a future
-        # exotic V safe rather than fast.
+        # (mem, vregs, cvec) come from the aligned allocator, and every
+        # emitted offset — window/section bases (V-truncated) and
+        # vregs/cvec slots (k*V) — is a multiple of V, so slot accesses
+        # (_av) are V-aligned whenever V divides the allocator's
+        # ALIGNMENT; window accesses (_aw) additionally need the
+        # iteration stride to preserve the residue.  Both hold for every
+        # current configuration; the guards keep a future exotic V safe
+        # rather than fast.
         buf_aligned = self.V <= ALIGNMENT and ALIGNMENT % self.V == 0
         self._av = "_a" if buf_aligned else ""
         self._aw = "_a" if buf_aligned and self.stride % self.V == 0 else ""
@@ -561,32 +543,6 @@ class _KernelEmitter:
         lines.append("}")
         return lines
 
-    def _emit_batch(self, sect_len: int) -> list[str]:
-        symbol = batch_symbol(self.spec.signature)
-        rsym = run_symbol(self.spec.signature)
-        V = self.V
-        nw = len(self.spec.win_keys)
-        ns = len(self.shifts) + len(self.points)
-        nc = len(self.splats) * V
-        nv = len(self.names) * V
-        pad = " " * (len(symbol) + 6)
-        return [
-            f"void {symbol}(uint8_t *mem, int64_t rows, const int64_t *lbn,",
-            f"{pad}const int64_t *wb, const int64_t *scal,",
-            f"{pad}const uint8_t *cvec, uint8_t *vregs,",
-            f"{pad}const int64_t *sect) {{",
-            "    /* lbn mem offsets are padded to the allocator alignment",
-            "       by the Python gather, so each row's mem base keeps the",
-            "       alignment promise simdal_run's loads rely on. */",
-            "    for (int64_t r = 0; r < rows; r++) {",
-            f"        {rsym}(mem + lbn[3 * r], lbn[3 * r + 1], "
-            f"lbn[3 * r + 2],",
-            f"            wb + r * {nw}, scal + r * {ns}, cvec + r * {nc},",
-            f"            vregs + r * {nv}, sect + r * {sect_len});",
-            "    }",
-            "}",
-        ]
-
     def emit(self) -> tuple[str, _NativeMeta]:
         steady = self.program.steady
         seq = list(steady.body) + list(steady.bottom)
@@ -639,15 +595,13 @@ class _KernelEmitter:
                 f"v{self.slot(name)});"
             )
         lines.append("}")
-        # The whole-run and batch drivers follow the steady kernel in
-        # the same unit (definition-before-use, non-static so other
-        # translation units never collide on the digest-unique names).
+        # The whole-run driver follows the steady kernel in the same
+        # unit (definition-before-use, non-static so other translation
+        # units never collide on the digest-unique names).
         pro_blocks, epi_blocks, spans, sections_c = self._emit_sections()
         sect_len = self._sect_cursor if sections_c else 0
         lines.append("")
         lines.extend(self._emit_run(pro_blocks, epi_blocks))
-        lines.append("")
-        lines.extend(self._emit_batch(sect_len))
         meta = _NativeMeta(
             signature=self.spec.signature,
             symbol=symbol,
@@ -659,7 +613,6 @@ class _KernelEmitter:
             splats=tuple(self.splats),
             bad_amounts=tuple(self.bad_amounts),
             run_symbol=run_symbol(self.spec.signature),
-            batch_symbol=batch_symbol(self.spec.signature),
             sections_c=sections_c,
             sect_len=sect_len,
             sect_spans=spans,
@@ -1038,7 +991,7 @@ def _bind_symbol(lib, symbol: str):
 
 
 def _bind_functions(lib, meta: _NativeMeta):
-    """Resolve (steady, whole-run, batch) for one signature's kernel."""
+    """Resolve (steady, whole-run) for one signature's kernel."""
     cfn = _bind_symbol(lib, meta.symbol)
     rfn = getattr(lib, meta.run_symbol)
     rfn.restype = None
@@ -1052,19 +1005,7 @@ def _bind_functions(lib, meta: _NativeMeta):
         ctypes.POINTER(ctypes.c_uint8),   # vregs
         ctypes.POINTER(ctypes.c_int64),   # sect
     ]
-    bcfn = getattr(lib, meta.batch_symbol)
-    bcfn.restype = None
-    bcfn.argtypes = [
-        ctypes.POINTER(ctypes.c_uint8),   # mem (flat concatenation)
-        ctypes.c_int64,                   # rows
-        ctypes.POINTER(ctypes.c_int64),   # lbn (mem offset, lb, n) per row
-        ctypes.POINTER(ctypes.c_int64),   # wb rows
-        ctypes.POINTER(ctypes.c_int64),   # scal rows
-        ctypes.POINTER(ctypes.c_uint8),   # cvec rows
-        ctypes.POINTER(ctypes.c_uint8),   # vregs rows
-        ctypes.POINTER(ctypes.c_int64),   # sect rows
-    ]
-    return cfn, rfn, bcfn
+    return cfn, rfn
 
 
 #: Loaded shared objects by sha256: each distinct ``.so`` is verified
@@ -1164,7 +1105,7 @@ def _load_from_disk(disk, key: str, signature: str,
     entry = disk.get(key)
     if (not isinstance(entry, _NativeMeta) or entry.signature != signature
             or not entry.symbol or not entry.run_symbol
-            or not entry.batch_symbol or not entry.so_sha256):
+            or not entry.so_sha256):
         return None
     tu = tu_key(entry.so_sha256)
     start = time.perf_counter()
@@ -1172,19 +1113,19 @@ def _load_from_disk(disk, key: str, signature: str,
         lib = _SO_HANDLES.get(entry.so_sha256)
         if lib is not None:
             disk.touch(tu)
-            cfn, rfn, bcfn = _bind_functions(lib, entry)
+            cfn, rfn = _bind_functions(lib, entry)
         else:
             so_path = disk.artifact_path(tu, ".so")
             if so_path is None:
                 return None
-            cfn, rfn, bcfn = _load_so(so_path, entry)
+            cfn, rfn = _load_so(so_path, entry)
     except Exception:
         disk.quarantine_artifacts(key)
         if entry.so_sha256 not in _SO_HANDLES:
             disk.quarantine_artifacts(tu)
         return None
     STATS["load_s"] += time.perf_counter() - start
-    return _NativeKernel(jk=jk, meta=entry, cfn=cfn, rfn=rfn, bcfn=bcfn)
+    return _NativeKernel(jk=jk, meta=entry, cfn=cfn, rfn=rfn)
 
 
 def _compile_native(key: str, signature: str, jk: jit._Kernel,
@@ -1202,8 +1143,8 @@ def _compile_native(key: str, signature: str, jk: jit._Kernel,
         reason = failures.get(signature, "native compile failed")
         _FAILED[key] = reason
         raise NativeUnavailable(reason)
-    (cfn, rfn, bcfn), meta = pair
-    return _NativeKernel(jk=jk, meta=meta, cfn=cfn, rfn=rfn, bcfn=bcfn)
+    (cfn, rfn), meta = pair
+    return _NativeKernel(jk=jk, meta=meta, cfn=cfn, rfn=rfn)
 
 
 def _acquire_async(signature: str, jk: jit._Kernel,
@@ -1326,8 +1267,7 @@ class _InvokePlan:
     """
 
     __slots__ = ("seed_offsets", "out_offsets", "all_offsets", "vregs_len",
-                 "splats_dyn", "c_cvec_const", "cvec_const", "wb_memo",
-                 "nw", "ns", "nc", "nv_stride", "nsect")
+                 "splats_dyn", "c_cvec_const", "cvec_const", "wb_memo")
 
     def __init__(self, meta: _NativeMeta, spec: jit._KernelSpec):
         V = spec.V
@@ -1339,13 +1279,6 @@ class _InvokePlan:
                                  for name in meta.out_regs)
         self.all_offsets = {name: k * V for name, k in slots.items()}
         self.vregs_len = max(1, len(meta.vreg_names) * V)
-        # Batch-row table strides (must match the compile-time strides
-        # baked into simdal_steady_batch).
-        self.nw = len(spec.win_keys)
-        self.ns = len(meta.shifts) + len(meta.points)
-        self.nc = len(meta.splats) * V
-        self.nv_stride = len(meta.vreg_names) * V
-        self.nsect = meta.sect_len
         if all(isinstance(operand, SConst) for operand, _ in meta.splats):
             consts = bytearray()
             for operand, dtype in meta.splats:
@@ -1365,6 +1298,19 @@ class _InvokePlan:
             self.c_cvec_const = None
 
 
+def _c_cvec(plan: _InvokePlan, cvec: bytes):
+    """The ctypes cvec argument for one C call.
+
+    The plan's persistent buffer when every splat is a literal;
+    otherwise a fresh V-aligned copy of the run's ``cvec`` bytes.
+    """
+    if plan.c_cvec_const is not None:
+        return plan.c_cvec_const
+    buf = aligned_view(max(1, len(cvec)))
+    buf[:len(cvec)] = cvec
+    return as_ctypes_u8(buf)
+
+
 def _plan_for(kernel: _NativeKernel) -> _InvokePlan:
     plan = kernel.plan
     if plan is None:
@@ -1379,8 +1325,8 @@ def _steady_tables(kernel: _NativeKernel, env, lb: int, n: int):
     memoized per space) or :class:`MachineError` (range checks) before
     anything is mutated, from the same pre-mutation points the jit
     kernel prelude uses, so every tier accepts and rejects exactly the
-    same runs.  Shared by the per-run invoke, the whole-run marshaller,
-    and the class batch driver.
+    same runs.  Shared by the per-run invoke and the whole-run
+    marshaller.
     """
     spec = kernel.jk.spec
     meta = kernel.meta
@@ -1429,12 +1375,7 @@ def _invoke(kernel: _NativeKernel, env: interp._Env, lb: int, n: int) -> None:
     V = spec.V
     plan = _plan_for(kernel)
     bases, amounts, cvec = _steady_tables(kernel, env, lb, n)
-    if plan.c_cvec_const is not None:
-        c_cvec = plan.c_cvec_const
-    else:
-        cbuf = aligned_view(max(1, len(cvec)))
-        cbuf[:len(cvec)] = cvec
-        c_cvec = as_ctypes_u8(cbuf)
+    c_cvec = _c_cvec(plan, cvec)
     vregs = aligned_view(plan.vregs_len)
     for name, offset in plan.seed_offsets:
         vregs[offset:offset + V] = interp._read_vreg(env, name)
@@ -1492,7 +1433,7 @@ def _run_steady_native(env: interp._Env, steady,
 # counter bookkeeping — on a SHADOW env (same program/space/memory/
 # bindings, fresh register files and counters), walking the program in
 # the interpreter's exact order and collecting the sect[]/wb/scal/cvec
-# tables the C drivers consume.  Nothing outside the shadow mutates
+# tables the C driver consumes.  Nothing outside the shadow mutates
 # until the C call returns (preheader statements cannot touch memory:
 # loads/stores need a loop counter and raise first), so any _Bail —
 # an unlowered form, a failed check, a condition the emitter could not
@@ -1520,20 +1461,20 @@ def _as_i64(value: int) -> int:
 
 
 class _Row:
-    """One marshalled run: the per-row tables a C driver call consumes."""
+    """One marshalled run: the tables its whole-run C call consumes."""
 
     __slots__ = ("shadow", "lb", "n", "wb", "scal", "cvec", "sect",
                  "vregs", "written")
 
     def __init__(self, shadow, lb, n, wb, scal, cvec, sect, vregs, written):
-        self.shadow = shadow     # the marshal-time env (None: steady-only)
+        self.shadow = shadow     # the marshal-time env
         self.lb = lb
         self.n = n
         self.wb = wb             # window bases, run-relative
         self.scal = scal         # checked runtime shift/point amounts
         self.cvec = cvec         # splat constants, bytes
         self.sect = sect         # section flag + value slots
-        self.vregs = vregs       # seeded register buffer (stride-exact)
+        self.vregs = vregs       # seeded register buffer
         self.written = written   # registers C writes that commit reads back
 
 
@@ -1670,7 +1611,7 @@ def _marshal_run(kernel: _NativeKernel, env: interp._Env) -> _Row:
     defined = set(shadow.vregs)
     written: list = []
     written_set: set = set()
-    sect = [0] * plan.nsect
+    sect = [0] * meta.sect_len
     spans = meta.sect_spans
     n_pro = len(program.prologue)
     if len(spans) != n_pro + len(program.epilogue):
@@ -1679,10 +1620,12 @@ def _marshal_run(kernel: _NativeKernel, env: interp._Env) -> _Row:
         _marshal_section(shadow, section, sect, span, defined, written,
                          written_set, V)
     steady = program.steady
+    # With no steady iterations simdal_run skips the steady call, the
+    # only reader of wb/scal/cvec.
     lb = n = 0
-    wb: list = [0] * plan.nw
-    scal: list = [0] * plan.ns
-    cvec: bytes = b"\x00" * plan.nc
+    wb: list = []
+    scal: list = []
+    cvec: bytes = b""
     if steady is not None:
         lb = interp._eval_s(shadow, steady.lb)
         ub = interp._eval_s(shadow, steady.ub)
@@ -1710,7 +1653,7 @@ def _marshal_run(kernel: _NativeKernel, env: interp._Env) -> _Row:
     for name in written:
         if name not in offsets:
             raise _Bail  # defensive: register without a vregs slot
-    vregs = aligned_view(plan.nv_stride)
+    vregs = aligned_view(plan.vregs_len)
     for name, value in shadow.vregs.items():
         offset = offsets.get(name)
         if offset is not None:
@@ -1738,11 +1681,8 @@ def _call_run(kernel: _NativeKernel, env: interp._Env, row: _Row) -> None:
     """The ctypes whole-run call + commit for one marshalled row."""
     mem_buf = env.mem.raw()
     c_mem = _u8_array(len(mem_buf)).from_buffer(mem_buf)
-    vregs = row.vregs if len(row.vregs) else aligned_view(1)
-    c_vregs = _u8_array(len(vregs)).from_buffer(vregs)
-    cvec = aligned_view(max(1, len(row.cvec)))
-    cvec[:len(row.cvec)] = row.cvec
-    c_cvec = as_ctypes_u8(cvec)
+    c_vregs = _u8_array(len(row.vregs)).from_buffer(row.vregs)
+    c_cvec = _c_cvec(kernel.plan, row.cvec)
     c_wb = _i64_array(max(1, len(row.wb)))(*row.wb)
     c_scal = _i64_array(max(1, len(row.scal)))(*row.scal)
     c_sect = _i64_array(max(1, len(row.sect)))(*row.sect)
@@ -1765,72 +1705,6 @@ def _invoke_run(kernel: _NativeKernel, env: interp._Env) -> bool:
     return True
 
 
-def _invoke_batch(kernel: _NativeKernel, rows: list) -> None:
-    """One C batch-driver call for ``rows`` = ``[(env, row), ...]``.
-
-    Gathers every row's memory into one flat image (a row's addresses
-    stay run-relative: the driver adds the row's segment offset to the
-    mem base), fires ``simdal_steady_batch`` once, then scatters the
-    segments and per-row vregs back.  Callers commit registers and
-    counters per row afterwards.
-
-    The flat image, vregs block, and cvec block all come from
-    :func:`aligned_view`, and every row's segment offset is rounded up
-    to :data:`ALIGNMENT` — so each row's mem/vregs/cvec base keeps the
-    V-alignment promise the kernels were compiled against.  The gather
-    and scatter copy the whole memory image of every row (O(total
-    mem), unlike the zero-copy per-iter path); ``batch_copy_us`` vs
-    ``batch_c_us`` attribute that cost in ``--profile``.
-    """
-    plan = _plan_for(kernel)
-    t0 = time.perf_counter()
-    sizes = [env.mem.size for env, _ in rows]
-    offsets: list = []
-    total = 0
-    for size in sizes:
-        offsets.append(total)
-        total += -(-size // ALIGNMENT) * ALIGNMENT
-    flat = aligned_view(max(1, total))
-    for (env, _), offset, size in zip(rows, offsets, sizes):
-        flat[offset:offset + size] = env.mem.raw()
-    lbn: list = []
-    wb: list = []
-    scal: list = []
-    sect: list = []
-    stride = plan.nv_stride
-    vregs = aligned_view(max(1, stride * len(rows)))
-    cvec = aligned_view(max(1, plan.nc * len(rows)))
-    for idx, ((env, row), offset) in enumerate(zip(rows, offsets)):
-        lbn += (offset, row.lb, row.n)
-        wb += row.wb
-        scal += row.scal
-        sect += row.sect
-        cvec[idx * plan.nc:(idx + 1) * plan.nc] = row.cvec
-        vregs[idx * stride:(idx + 1) * stride] = row.vregs
-    c_mem = as_ctypes_u8(flat)
-    c_vregs = as_ctypes_u8(vregs)
-    c_cvec = as_ctypes_u8(cvec)
-    c_lbn = _i64_array(len(lbn))(*lbn)
-    c_wb = _i64_array(max(1, len(wb)))(*wb)
-    c_scal = _i64_array(max(1, len(scal)))(*scal)
-    c_sect = _i64_array(max(1, len(sect)))(*sect)
-    t1 = time.perf_counter()
-    try:
-        kernel.bcfn(c_mem, len(rows), c_lbn, c_wb, c_scal, c_cvec,
-                    c_vregs, c_sect)
-    finally:
-        del c_mem, c_vregs, c_cvec
-    t2 = time.perf_counter()
-    for (env, _), offset, size in zip(rows, offsets, sizes):
-        env.mem.raw()[:] = flat[offset:offset + size]
-    if stride:
-        for idx, (_env, row) in enumerate(rows):
-            row.vregs = vregs[idx * stride:(idx + 1) * stride]
-    t3 = time.perf_counter()
-    STATS["batch_copy_us"] += int((t1 - t0 + t3 - t2) * 1e6)
-    STATS["batch_c_us"] += int((t2 - t1) * 1e6)
-
-
 # ---------------------------------------------------------------------------
 # The backend
 # ---------------------------------------------------------------------------
@@ -1840,11 +1714,10 @@ class NativeBackend(JitBackend):
 
     Inherits the jit engine's run/guard/section machinery and swaps the
     steady loop for the compiled C kernel via the hook points.  When a
-    kernel's whole-run surface compiled (``meta.sections_c``), accepted
-    runs execute as a single ``simdal_run`` call and whole signature
-    classes execute as a single ``simdal_steady_batch`` call — one
-    ctypes crossing per class; anything the marshaller bails on replays
-    the classic per-piece path from untouched state.
+    kernel's whole-run surface compiled (``meta.sections_c``), every
+    accepted run — batched or not — executes as a single ``simdal_run``
+    call on its own memory; anything the marshaller bails on replays the
+    classic per-piece path from untouched state.
     """
 
     name = "native"
@@ -1864,100 +1737,19 @@ class NativeBackend(JitBackend):
         return super()._finish_env(env, kernel)
 
     def _batch_finish(self, live, results, kernel):
-        meta = kernel.meta
-        if (kernel.cfn is None or kernel.bcfn is None or meta is None
-                or not meta.sections_c):
+        if kernel.cfn is None or not kernel.meta.sections_c:
+            # Pending, declined, or no lowered sections: jit's batch
+            # path, with the steady loops routed through _steady_batch.
             return super()._batch_finish(live, results, kernel)
-        rows: list = []
-        classic: list = []
-        t0 = time.perf_counter()
         for i, env in live:
-            try:
-                rows.append((i, env, _marshal_run(kernel, env)))
-            except _Bail:
-                classic.append((i, env))
-        STATS["batch_marshal_us"] += int((time.perf_counter() - t0) * 1e6)
-        if len(rows) == 1:
-            # Singleton classes skip the flat gather/scatter copy.
-            i, env, row = rows[0]
-            _call_run(kernel, env, row)
-            STATS["whole_runs"] += 1
-            results[i] = interp.VectorRunResult(env.counters, env.trip,
-                                                used_fallback=False)
-        elif rows:
-            _invoke_batch(kernel, [(env, row) for _, env, row in rows])
-            STATS["batch_calls"] += 1
-            STATS["batch_rows"] += len(rows)
-            for i, env, row in rows:
-                _commit_run(kernel, env, row)
-                results[i] = interp.VectorRunResult(env.counters, env.trip,
-                                                    used_fallback=False)
-        for i, env in classic:
-            fell = super()._finish_env(env, kernel)
+            fell = self._finish_env(env, kernel)
             results[i] = interp.VectorRunResult(env.counters, env.trip,
                                                 used_fallback=fell)
 
     def _steady_batch(self, live, kernel):
-        # Reached when the whole-run surface is unavailable (sections
-        # not lowered, or functions still pending): sections already
-        # ran in Python; batch the steady loops through the C driver.
-        if kernel.cfn is None or kernel.bcfn is None:
+        if kernel.cfn is None:
             # Pending/declined kernels batch on the jit tier's
             # config-batched kernel, exactly like jit.run_batch.
             return jit._run_steady_batch(live, kernel.jk)
-        spec = kernel.jk.spec
-        V = spec.V
-        plan = _plan_for(kernel)
-        fell: dict[int, bool] = {}
-        if len(live) == 1:
-            for i, env in live:
-                fell[i] = _run_steady_native(env, env.program.steady,
-                                             kernel)
-            return fell
-        rows: list = []
-        solo: list = []
-        t0 = time.perf_counter()
-        for i, env in live:
-            steady = env.program.steady
-            lb = interp._eval_s(env, steady.lb)
-            ub = interp._eval_s(env, steady.ub)
-            if steady.step <= 0:
-                solo.append((i, env, lb, ub))
-                continue
-            n = len(range(lb, ub, steady.step))
-            if n == 0:
-                fell[i] = False
-                continue
-            try:
-                wb, scal, cvec = _steady_tables(kernel, env, lb, n)
-                vregs = aligned_view(plan.nv_stride)
-                for name, offset in plan.seed_offsets:
-                    vregs[offset:offset + V] = interp._read_vreg(env, name)
-            except jit._Unbatchable:
-                npbackend._steady_periter(env, steady, lb, ub)
-                fell[i] = True
-                continue
-            except MachineError:
-                solo.append((i, env, lb, ub))
-                continue
-            rows.append((i, env,
-                         _Row(None, lb, n, list(wb), scal, cvec,
-                              [0] * plan.nsect, vregs, ())))
-        STATS["batch_marshal_us"] += int((time.perf_counter() - t0) * 1e6)
-        if len(rows) == 1:
-            i, env, row = rows[0]
-            solo.append((i, env, row.lb, row.lb + row.n * spec.step))
-            rows = []
-        if rows:
-            _invoke_batch(kernel, [(env, row) for _, env, row in rows])
-            STATS["batch_calls"] += 1
-            STATS["batch_rows"] += len(rows)
-            for i, env, row in rows:
-                for name, offset in plan.out_offsets:
-                    env.vregs[name] = bytes(row.vregs[offset:offset + V])
-                jit._bump_steady_counters(env, spec, row.n)
-                fell[i] = False
-        for i, env, lb, ub in solo:
-            fell[i] = _run_steady_at_native(env, env.program.steady,
-                                            kernel, lb, ub)
-        return fell
+        return {i: _run_steady_native(env, env.program.steady, kernel)
+                for i, env in live}

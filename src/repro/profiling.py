@@ -166,29 +166,10 @@ class PhaseProfile:
             if fallbacks:
                 line += f", {fallbacks} fallbacks"
             lines.append(line)
-            batch_calls = self.counts.get("native_batch_calls", 0)
             whole_runs = self.counts.get("native_whole_runs", 0)
-            if batch_calls or whole_runs:
-                batch_rows = self.counts.get("native_batch_rows", 0)
-                lines.append(
-                    f"  native batch driver: {batch_calls} class "
-                    f"call{'s' if batch_calls != 1 else ''} covering "
-                    f"{batch_rows} configs, {whole_runs} whole-run calls"
-                )
-                marshal_us = self.counts.get("native_batch_marshal_us", 0)
-                copy_us = self.counts.get("native_batch_copy_us", 0)
-                c_us = self.counts.get("native_batch_c_us", 0)
-                if marshal_us or copy_us or c_us:
-                    # Attribution of where batched-class wall time goes:
-                    # Python-side marshalling, the O(total-mem) flat
-                    # gather/scatter copies, and the C driver itself —
-                    # the copy share explains why small-memory classes
-                    # can run slower batched than per-iter.
-                    lines.append(
-                        f"    marshal {marshal_us / 1e3:.1f} ms, "
-                        f"gather/scatter {copy_us / 1e3:.1f} ms, "
-                        f"C driver {c_us / 1e3:.1f} ms"
-                    )
+            if whole_runs:
+                lines.append(f"  native whole-run driver: {whole_runs} "
+                             f"call{'s' if whole_runs != 1 else ''}")
         resilience = []
         degraded_to = sorted(
             k for k in self.counts if k.startswith("degraded_to_")

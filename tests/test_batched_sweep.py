@@ -161,7 +161,8 @@ class TestRunBatch:
 
 @needs_cc
 class TestNativeRunBatch:
-    """The native tier's C batch driver against jit and the oracle."""
+    """The native tier's batched whole-run calls against jit and the
+    oracle."""
 
     def _counts(self):
         return {k: v for k, v in _native.STATS.items() if isinstance(v, int)}
@@ -192,23 +193,21 @@ class TestNativeRunBatch:
         before = self._counts()
         self._assert_three_way(items)
         after = self._counts()
-        # The class must have executed through the C batch driver —
-        # a silent bail to the classic path would still pass the
+        # Every config must have executed as one whole-run C call — a
+        # silent bail to the classic path would still pass the
         # byte-equality above but void the perf claim.
-        assert after["batch_calls"] == before["batch_calls"] + 1
-        assert after["batch_rows"] == before["batch_rows"] + len(items)
+        assert after["whole_runs"] == before["whole_runs"] + len(items)
 
     def test_guard_row_degrades_alone(self):
         # trip=2 falls to the guarded scalar path; its classmates must
-        # still batch through the driver with identical bytes.
+        # still run through the whole-run driver with identical bytes.
         items = _run_items(_ragged_class((2, 61, 75)))
         before = self._counts()
         results = self._assert_three_way(items)
         after = self._counts()
         assert results[0].used_fallback
         assert not results[1].used_fallback
-        assert after["batch_calls"] == before["batch_calls"] + 1
-        assert after["batch_rows"] == before["batch_rows"] + 2
+        assert after["whole_runs"] == before["whole_runs"] + 2
 
     def test_singleton_class_takes_whole_run_path(self):
         items = _run_items(_ragged_class((61,)))
@@ -216,7 +215,27 @@ class TestNativeRunBatch:
         self._assert_three_way(items)
         after = self._counts()
         assert after["whole_runs"] == before["whole_runs"] + 1
-        assert after["batch_calls"] == before["batch_calls"]
+
+    def test_unlowered_sections_run_steady_loops_in_c(self, monkeypatch):
+        # A kernel whose prologue/epilogue did not lower takes jit's
+        # batch path for the sections, with each config's steady loop
+        # still one C steady call.
+        items = _run_items(_ragged_class((45, 61, 75)))
+        kernel = _native.get_native_kernel(items[0][0])
+        assert kernel.cfn is not None and kernel.meta.sections_c
+        monkeypatch.setattr(kernel.meta, "sections_c", False)
+        calls = []
+        real_invoke = _native._invoke
+
+        def counting_invoke(*args):
+            calls.append(args[2:])
+            return real_invoke(*args)
+
+        monkeypatch.setattr(_native, "_invoke", counting_invoke)
+        before = self._counts()
+        self._assert_three_way(items)
+        assert self._counts()["whole_runs"] == before["whole_runs"]
+        assert len(calls) == len(items)
 
     def test_measure_batch_native_matches_jit_measurements(self):
         configs = _ragged_class((45, 61, 75)) + _ragged_class(

@@ -729,7 +729,8 @@ def _class_items(trips, seed=11, loads=3):
 @needs_cc
 class TestBatchAcquisitionModes:
     """run_batch across acquisition modes: pending classes batch on the
-    jit tier, landed classes batch through the C driver — same bytes."""
+    jit tier, landed classes run one whole-run C call per config — same
+    bytes."""
 
     def _oracle(self, items):
         mems = [mem.clone() for _, _, mem, _ in items]
@@ -758,29 +759,28 @@ class TestBatchAcquisitionModes:
         oracle = self._oracle(items)
         compilequeue.set_async_compile(True)
         kernel = native.get_native_kernel(items[0][0])
-        assert kernel.pending and kernel.bcfn is None
+        assert kernel.pending and kernel.rfn is None
         before = dict(native.STATS)
         # In-flight compile: the class batches on jit's kernel, byte-
-        # identical, and the C driver is untouched.
+        # identical, and no C function is called.
         assert self._native_batch(items) == oracle
-        assert native.STATS["batch_calls"] == before["batch_calls"]
+        assert native.STATS["whole_runs"] == before["whole_runs"]
         gate.set()
         assert compilequeue.drain(timeout=60.0)
-        assert kernel.rfn is not None and kernel.bcfn is not None
+        assert kernel.rfn is not None and kernel.cfn is not None
         before = dict(native.STATS)
         assert self._native_batch(items) == oracle
-        assert native.STATS["batch_calls"] == before["batch_calls"] + 1
-        assert native.STATS["batch_rows"] == before["batch_rows"] + 3
+        assert native.STATS["whole_runs"] == before["whole_runs"] + 3
 
     def test_precompiled_class_batches_through_driver(self):
         items = _class_items((45, 61), seed=13)
         assert compilequeue.precompile([items[0][0]]) == 1
         kernel = native.get_native_kernel(items[0][0])
-        assert kernel.rfn is not None and kernel.bcfn is not None
+        assert kernel.rfn is not None and kernel.cfn is not None
         oracle = self._oracle(items)
         before = dict(native.STATS)
         assert self._native_batch(items) == oracle
-        assert native.STATS["batch_calls"] == before["batch_calls"] + 1
+        assert native.STATS["whole_runs"] == before["whole_runs"] + 2
 
     def test_disk_loaded_kernel_drives_batches(self):
         with tempfile.TemporaryDirectory() as tmp:
@@ -790,14 +790,14 @@ class TestBatchAcquisitionModes:
                 oracle = self._oracle(items)
                 assert self._native_batch(items) == oracle
                 # A fresh process image: the memory cache clears, the
-                # .so reloads from the artifact group with all three
-                # symbols bound.
+                # .so reloads from the artifact group with both symbols
+                # bound.
                 native.clear_memory_cache()
                 before = dict(native.STATS)
                 assert self._native_batch(items) == oracle
                 assert native.STATS["disk_hits"] == before["disk_hits"] + 1
-                assert (native.STATS["batch_calls"]
-                        == before["batch_calls"] + 1)
+                assert (native.STATS["whole_runs"]
+                        == before["whole_runs"] + 2)
             finally:
                 set_cache_dir(None)
 
